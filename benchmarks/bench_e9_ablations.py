@@ -1,4 +1,4 @@
-"""E9 — ablations of the design choices DESIGN.md calls out.
+"""E9 — ablations of Cluster2's design choices.
 
 Not a paper table; these runs isolate *why* each ingredient of Cluster2
 is there, by removing it and measuring what breaks:

@@ -1,13 +1,13 @@
 """Shared configuration for the benchmark/experiment harness.
 
-Each ``bench_e*.py`` module regenerates one experiment from DESIGN.md §3:
-it renders the experiment's table (printed and saved under ``results/``)
-and registers a pytest-benchmark timing of a representative run.  Run
+Each ``bench_*.py`` module regenerates its experiments (E1–E22): it renders
+the experiment's table (printed and saved under ``results/``), writes its
+``BENCH_<experiment>.json`` trajectory at the repo root and, in most
+modules, registers a pytest-benchmark timing of a representative run.  Run
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ --benchmark-disable
 
-to regenerate everything; the tables land in ``results/E*.txt`` and are
-summarised in EXPERIMENTS.md.
+to regenerate everything; the tables land in ``results/E*.txt``.
 """
 
 from __future__ import annotations

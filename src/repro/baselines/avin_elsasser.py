@@ -4,9 +4,9 @@
 ``O(sqrt(log n))`` rounds using ``O(sqrt(log n))`` messages per node and
 ``O(n log^{3/2} n + n b log log n)`` bits, in the same random-phone-call
 model with direct addressing.  The companion paper's full pseudocode is not
-part of our source, so — per the substitution rule (DESIGN.md §5.2) — we
-implement a *reconstruction with the same complexity profile* built from
-this paper's own cluster machinery:
+part of our source, so we substitute a *reconstruction with the same
+complexity profile* (rounds, messages and bits) built from this paper's
+own cluster machinery:
 
 Groups recruit groups as in SquareClusters, but where Cluster1's
 constant-size ClusterResize messages allow unbounded squaring

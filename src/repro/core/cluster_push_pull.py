@@ -11,8 +11,9 @@ one of whom pulls the rumor w.h.p. (Lemma 17).
 Per iteration: newly informed clusters ClusterPUSH the rumor; ClusterShare
 spreads it within clusters that were hit; uninformed nodes PULL from a
 random node.  Our implementation spends 4 engine rounds per iteration
-(push, share-up, share-down, pull) versus the paper's folded 3; a constant
-factor, noted in EXPERIMENTS.md.
+(push, share-up, share-down, pull) versus the paper's folded 3.  That is a
+constant factor of 4/3 on the round count and does not change the
+``Theta(log n / log Δ)`` shape.
 """
 
 from __future__ import annotations

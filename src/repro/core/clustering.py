@@ -16,13 +16,14 @@ in a given phase.
 Invariant (checked by :meth:`Clustering.check_invariants`): after every
 primitive, every clustered node points directly at a leader —
 ``follow[follow[v]] == follow[v]``.  ``ClusterMerge`` can transiently
-create pointer chains; :meth:`compress` resolves them (DESIGN.md
-substitution 3).
+create pointer chains; :meth:`compress` resolves them by path
+compression, which stands in for the constant number of resolution pulls
+the paper leaves implicit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +31,37 @@ from repro.sim.network import Network
 
 #: The paper's ∞ ("not clustered").
 UNCLUSTERED = -1
+
+
+def chunk_runs(seg: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The segment arithmetic of ``ClusterResize``: cut sorted segments
+    into near-equal chunks.
+
+    ``seg`` holds one segment key per member with equal keys contiguous
+    (members sorted by segment, then uid); ``k`` is the chunk count of
+    each member's segment, ``1 <= k <= segment size``.  The member of
+    rank ``i`` in a segment of ``size`` members goes to chunk
+    ``i * k // size``, so every chunk is non-empty and chunk sizes differ
+    by at most one.
+
+    Returns ``(run_id, run_bounds, n_segments)``: ``run_id[j]`` is the
+    index of member ``j``'s (segment, chunk) run; run ``r`` spans
+    ``run_bounds[r]:run_bounds[r + 1]`` (``len(seg)`` closes the last
+    run), so its last member — the chunk's largest uid, its new leader —
+    sits at ``run_bounds[r + 1] - 1``.
+    """
+    m = len(seg)
+    new_seg = np.ones(m, dtype=bool)
+    new_seg[1:] = seg[1:] != seg[:-1]
+    seg_id = np.cumsum(new_seg) - 1
+    starts = np.flatnonzero(new_seg)
+    seg_sizes = np.diff(np.append(starts, m))
+    rank = np.arange(m) - starts[seg_id]
+    chunk = (rank * k) // seg_sizes[seg_id]
+    new_run = new_seg.copy()
+    new_run[1:] |= chunk[1:] != chunk[:-1]
+    run_bounds = np.append(np.flatnonzero(new_run), m)
+    return np.cumsum(new_run) - 1, run_bounds, len(starts)
 
 
 class Clustering:
@@ -51,6 +83,7 @@ class Clustering:
         self.net = net
         self.follow = np.full(net.n, UNCLUSTERED, dtype=np.int64)
         self.active = np.zeros(net.n, dtype=bool)
+        self._index = np.arange(net.n)
         self._synced_epoch = net.liveness_epoch
         self._construction_epoch = net.liveness_epoch
         #: Sticky: liveness changed after construction (a dynamics run).
@@ -113,7 +146,7 @@ class Clustering:
     def leader_mask(self) -> np.ndarray:
         """Alive nodes that lead their own cluster."""
         self._sync()
-        return (self.follow == np.arange(self.n)) & self.net.alive
+        return (self.follow == self._index) & self.net.alive
 
     def follower_mask(self) -> np.ndarray:
         """Alive clustered nodes that are not leaders."""

@@ -64,8 +64,9 @@ class Cluster1Params:
     * ``min_cluster_size`` — ``s = C' log n`` (line 12);
     * ``square_target`` — loop bound ``sqrt(n / log n)`` (line 20);
     * ``square_step`` — the ``s <- Theta(s^2)`` update;
-    * ``merge_reps`` — "two repetitions" of MergeAllClusters, with a small
-      safety cap for small-n tail events (DESIGN.md substitution 4);
+    * ``merge_reps`` — "two repetitions" of MergeAllClusters, with a
+      small capped number of extra repetitions for small-n tail events
+      (counted; a constant, so the phase stays O(1) rounds);
     * ``pull_rounds`` — line 26, ``Theta(log log n)`` PULL iterations.
     """
 

@@ -5,8 +5,8 @@ its ID; every cluster merges into the smallest ID it received.  The
 globally smallest-ID cluster never merges and absorbs everything; the
 paper's "two repetitions" suffice w.h.p. asymptotically, and we allow a
 small capped number of extra repetitions for small-``n`` tail events
-(counted — they keep the round-complexity O(1) for this phase; DESIGN.md
-substitution 4).
+(counted — the cap is a constant, so this phase stays O(1) rounds; see
+``merge_reps`` in :mod:`repro.core.constants`).
 
 :func:`merge_to_delta_clusters` (Algorithm 4, Procedure MergeClusters):
 instead of coalescing to one cluster, activate clusters with probability

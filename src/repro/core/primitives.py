@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.clustering import UNCLUSTERED, Clustering
+from repro.core.clustering import UNCLUSTERED, Clustering, chunk_runs
 from repro.sim.delivery import NOTHING, receive_any, receive_min_by_key
 from repro.sim.engine import Simulator
 
@@ -141,6 +141,11 @@ def cluster_resize(sim: Simulator, cl: Clustering, s: int) -> int:
     Only called on clusters of size >= s (guaranteed by the callers via
     ClusterDissolve); clusters with ``k == 1`` are left intact.  Returns
     the number of clusters that actually split.
+
+    The split itself draws no randomness and costs O(n + m log m) host
+    time: one pass over the clustered nodes plus sorting the ``m``
+    members of splitting clusters by (leader, uid), cut into chunks by
+    :func:`repro.core.clustering.chunk_runs`.
     """
     if s < 1:
         raise ValueError(f"target size must be >= 1, got {s}")
@@ -157,23 +162,27 @@ def cluster_resize(sim: Simulator, cl: Clustering, s: int) -> int:
         resp_bits = k_per_leader[cl.follow[followers]] * sizes.id_bits
         r.pull(followers, cl.follow[followers], resp_bits)
 
-    # Apply the splits (the leader's in-mind re-clustering).
-    uid = sim.net.uid
-    splits = 0
-    for leader in cl.leaders():
-        k = int(k_per_leader[leader])
-        if k <= 1:
-            continue
-        members = cl.members_of(int(leader))
-        members = members[np.argsort(uid[members])]
-        size = len(members)
-        chunk = (np.arange(size) * k) // size  # near-equal chunk ids
-        # Last member of each chunk has the chunk's largest uid -> leader.
-        last_in_chunk = np.flatnonzero(np.diff(np.append(chunk, k)) > 0)
-        new_leaders = members[last_in_chunk]
-        cl.active[new_leaders] = cl.active[leader]
-        cl.follow[members] = new_leaders[chunk]
-        splits += 1
+    # Apply the splits (each leader's in-mind re-clustering) in one
+    # sort-and-segment pass over the members of splitting clusters.
+    members = np.flatnonzero(cl.clustered_mask())
+    k = k_per_leader[cl.follow[members]]
+    split = k > 1
+    members, k = members[split], k[split]
+    leader = cl.follow[members]
+    # Sort by (leader, uid).  Ranking the uids among the members makes
+    # ``leader * m + rank`` a collision-free int64 key, and two argsorts
+    # run faster than one ``np.lexsort`` on two int64 keys.
+    m = len(members)
+    uid_rank = np.empty(m, dtype=np.int64)
+    uid_rank[np.argsort(sim.net.uid[members])] = np.arange(m)
+    order = np.argsort(leader * m + uid_rank)
+    members, leader, k = members[order], leader[order], k[order]
+    run_id, run_bounds, splits = chunk_runs(leader, k)
+    # Last member of each chunk has the chunk's largest uid -> leader.
+    run_last = run_bounds[1:] - 1
+    new_leaders = members[run_last]
+    cl.active[new_leaders] = cl.active[leader[run_last]]
+    cl.follow[members] = new_leaders[run_id]
     cl.check_invariants()
     return splits
 
@@ -302,7 +311,8 @@ def cluster_merge(sim: Simulator, cl: Clustering, new_leader: np.ndarray) -> int
     current leader; the leader updates its own follow the same way.
     Pointer chains created by simultaneous merges are path-compressed
     (equivalent to the constant number of resolution pulls the paper
-    elides; DESIGN.md substitution 3).  Returns the number of merges.
+    elides; see :meth:`Clustering.compress`).  Returns the number of
+    merges.
     """
     new_leader = np.asarray(new_leader, dtype=np.int64)
     leaders = cl.leaders()

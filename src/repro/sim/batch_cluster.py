@@ -51,7 +51,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.clustering import UNCLUSTERED
+from repro.core.clustering import UNCLUSTERED, chunk_runs
 from repro.core.constants import (
     LAPTOP,
     Cluster1Params,
@@ -583,27 +583,16 @@ class ClusterBatch:
         rs = r[sel]
         cs = c[sel]
         seg_s = seg[sel]
-        ks = k_member[sel]
-        new_seg = np.ones(len(seg_s), dtype=bool)
-        new_seg[1:] = seg_s[1:] != seg_s[:-1]
-        seg_id = np.cumsum(new_seg) - 1
-        starts = np.flatnonzero(new_seg)
-        seg_sizes = np.diff(np.append(starts, len(seg_s)))
-        rank = np.arange(len(seg_s)) - starts[seg_id]
-        chunk = (rank * ks) // seg_sizes[seg_id]
-        # Runs of equal (segment, chunk); the last member of each run has
-        # the chunk's largest uid and becomes its leader.
-        new_run = new_seg.copy()
-        new_run[1:] |= chunk[1:] != chunk[:-1]
-        run_id = np.cumsum(new_run) - 1
-        run_starts = np.flatnonzero(new_run)
-        run_last = np.append(run_starts[1:], len(seg_s)) - 1
+        run_id, run_bounds, _ = chunk_runs(seg_s, k_member[sel])
+        # The last member of each (segment, chunk) run has the chunk's
+        # largest uid and becomes its leader.
+        run_last = run_bounds[1:] - 1
         lead_r, lead_c = rs[run_last], cs[run_last]
         old_lead_c = seg_s[run_last] - lead_r * self.n
         old_active = self.active[g[lead_r], old_lead_c]  # read before writes
         self.follow[g[rs], cs] = lead_c[run_id]
         self.active[g[lead_r], lead_c] = old_active
-        run_sizes = np.diff(np.append(run_starts, len(seg_s)))
+        run_sizes = np.diff(run_bounds)
         return (
             np.concatenate((rows_u, lead_r)),
             np.concatenate((cols_u, lead_c)),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.clustering import UNCLUSTERED, Clustering
+from repro.core.clustering import UNCLUSTERED, Clustering, chunk_runs
 from repro.sim.network import Network
 
 from helpers import build_sim, manual_clustering
@@ -145,3 +145,42 @@ class TestInvariants:
         sim.net.fail([1])  # follower of cluster 0
         assert cl.clustered_count() == 15
         assert cl.sizes()[0] == 3
+
+
+class TestChunkRuns:
+    """The segment arithmetic shared by both engines' ClusterResize."""
+
+    def test_empty(self):
+        run_id, run_bounds, n_segments = chunk_runs(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        )
+        assert len(run_id) == 0
+        assert run_bounds.tolist() == [0]
+        assert n_segments == 0
+
+    def test_single_segment(self):
+        # 10 members, k = 3: chunk = rank * 3 // 10 -> sizes 4, 3, 3.
+        run_id, run_bounds, n_segments = chunk_runs(
+            np.full(10, 7), np.full(10, 3)
+        )
+        assert run_id.tolist() == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert run_bounds.tolist() == [0, 4, 7, 10]
+        assert n_segments == 1
+
+    def test_k_equal_to_segment_size(self):
+        # Every member becomes its own chunk (and its own leader).
+        run_id, run_bounds, n_segments = chunk_runs(
+            np.array([2, 2, 2, 5, 5]), np.array([3, 3, 3, 2, 2])
+        )
+        assert run_id.tolist() == [0, 1, 2, 3, 4]
+        assert run_bounds.tolist() == [0, 1, 2, 3, 4, 5]
+        assert n_segments == 2
+
+    def test_runs_never_cross_segments(self):
+        # Two segments of 5 with k = 2 each: 3 + 2 and 3 + 2.
+        run_id, run_bounds, n_segments = chunk_runs(
+            np.array([1] * 5 + [4] * 5), np.full(10, 2)
+        )
+        assert run_id.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 3, 3]
+        assert run_bounds.tolist() == [0, 3, 5, 8, 10]
+        assert n_segments == 2

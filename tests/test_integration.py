@@ -43,8 +43,9 @@ class TestShapeClaims:
 
     def test_cluster2_rounds_within_loglog_budget(self, records):
         """At laptop n the per-iteration constants dominate the absolute
-        round count (see EXPERIMENTS.md E1); the testable claim here is
-        the Theta(log log n) budget with a fixed constant."""
+        round count (benchmarks/bench_e1_rounds.py tabulates it); the
+        testable claim here is the Theta(log log n) budget with a fixed
+        constant."""
         ns, ys = series(aggregate(records), "cluster2", "spread_rounds")
         for n, y in zip(ns, ys):
             assert y <= 40 * math.log2(math.log2(n)) + 25

@@ -6,6 +6,8 @@ repro/core/primitives.py); these tests pin both, plus the semantics.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.clustering import UNCLUSTERED, Clustering
 from repro.core.primitives import (
@@ -196,6 +198,92 @@ class TestClusterResize:
         cl.active[0] = True
         cluster_resize(sim, cl, 8)
         assert cl.active[cl.leaders()].all()
+
+
+def _reference_cluster_resize(sim, cl, s):
+    """The original per-leader ClusterResize loop: the executable
+    specification the sort-and-segment pass must match bit for bit."""
+    followers = cl.followers()
+    sizes = sim.net.sizes
+    with sim.round("ClusterResize:push") as r:
+        r.push(followers, cl.follow[followers], sizes.id_bits)
+    counts = cl.sizes()
+    k_per_leader = np.maximum(counts // s, 1)
+    with sim.round("ClusterResize:pull") as r:
+        resp_bits = k_per_leader[cl.follow[followers]] * sizes.id_bits
+        r.pull(followers, cl.follow[followers], resp_bits)
+    uid = sim.net.uid
+    splits = 0
+    for leader in cl.leaders():
+        k = int(k_per_leader[leader])
+        if k <= 1:
+            continue
+        members = cl.members_of(int(leader))
+        members = members[np.argsort(uid[members])]
+        size = len(members)
+        chunk = (np.arange(size) * k) // size
+        last_in_chunk = np.flatnonzero(np.diff(np.append(chunk, k)) > 0)
+        new_leaders = members[last_in_chunk]
+        cl.active[new_leaders] = cl.active[leader]
+        cl.follow[members] = new_leaders[chunk]
+        splits += 1
+    cl.check_invariants()
+    return splits
+
+
+@st.composite
+def resize_cases(draw):
+    """A network, a random clustering of it (each cluster led by a
+    random member; some nodes unclustered), random active flags, nodes
+    failed after clustering (dead members and dead ex-leaders) and a
+    target size ``s``."""
+    n = draw(st.integers(min_value=1, max_value=48))
+    groups = draw(st.lists(st.integers(min_value=-1, max_value=6), min_size=n, max_size=n))
+    leader_pick = draw(st.lists(st.integers(min_value=0, max_value=n), min_size=7, max_size=7))
+    active = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    dead = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n // 3))
+    s = draw(st.integers(min_value=1, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return n, groups, leader_pick, active, dead, s, seed
+
+
+def _resize_setup(case):
+    n, groups, leader_pick, active, dead, s, seed = case
+    sim = build_sim(n, seed=seed)
+    cl = Clustering(sim.net)
+    groups = np.asarray(groups)
+    for g in range(7):
+        members = np.flatnonzero(groups == g)
+        if len(members):
+            cl.follow[members] = members[leader_pick[g] % len(members)]
+    cl.active[:] = np.asarray(active) & (cl.follow == np.arange(n))
+    sim.net.fail(dead)
+    return sim, cl, s
+
+
+class TestClusterResizeOracle:
+    """``cluster_resize`` is bit-identical to the per-leader loop."""
+
+    @given(resize_cases())
+    @settings(max_examples=200, deadline=None)
+    # s = 1: every cluster of two or more splits into singletons.
+    @example((12, [0] * 5 + [1] * 4 + [-1] * 3, [2] * 7, [True] * 12, [], 1, 0))
+    # Singletons only, and no cluster splits at all.
+    @example((6, [0, 1, 2, 3, 4, 5], [0] * 7, [False] * 6, [], 1, 3))
+    @example((10, [0] * 5 + [1] * 5, [0] * 7, [True] * 10, [], 4, 1))
+    # A dead ex-leader (node 0 leads group 0) and dead members of a
+    # splitting cluster next to an unsplit one.
+    @example((24, [0] * 6 + [1] * 14 + [2] * 4, [0] * 7, [True] * 24, [0, 7, 9], 3, 2))
+    # Groups of 13, 4 and 9 with s = 4: k = 3, 1 and 2.
+    @example((28, [0] * 13 + [1] * 4 + [2] * 9 + [-1] * 2, [5, 0, 8, 0, 0, 0, 0],
+              [True, False] * 14, [], 4, 7))
+    def test_matches_per_leader_loop(self, case):
+        sim_new, cl_new, s = _resize_setup(case)
+        sim_ref, cl_ref, _ = _resize_setup(case)
+        assert cluster_resize(sim_new, cl_new, s) == _reference_cluster_resize(sim_ref, cl_ref, s)
+        assert np.array_equal(cl_new.follow, cl_ref.follow)
+        assert np.array_equal(cl_new.active, cl_ref.active)
+        assert sim_new.metrics == sim_ref.metrics
 
 
 class TestClusterPush:
