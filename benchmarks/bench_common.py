@@ -21,6 +21,7 @@ from repro.analysis.runner import (
     sweep_reports,
 )
 from repro.analysis.tables import Table
+from repro.core.broadcast import RunConfig
 from repro.core.result import AlgorithmReport
 
 #: Repo root (BENCH_<exp>.json trajectory files land here).
@@ -72,19 +73,9 @@ def grouped_report_sweep(cells, make_spec, seeds: Sequence[int] = SEEDS) -> dict
 
 
 def bench_spec(algorithm: str, n: int, seed: int, **kw) -> RunSpec:
-    """A bench-flavored job: model checking off, broadcast-level knobs
-    (``failures``, ``source``…) split from algorithm knobs in ``kw``."""
-    failures = kw.pop("failures", 0)
-    source = kw.pop("source", 0)
-    return RunSpec(
-        algorithm=algorithm,
-        n=n,
-        seed=seed,
-        source=source,
-        failures=failures,
-        check_model=False,
-        kwargs=kw,
-    )
+    """A bench-flavored job: model checking off; ``kw`` mixes run knobs
+    (``failures``, ``source``…) and algorithm knobs, as for ``broadcast``."""
+    return RunSpec(RunConfig.build(n, algorithm, check_model=False, **kw), seed)
 
 
 def emit(table: Table, exp_id: str, fmt: str = "text") -> str:

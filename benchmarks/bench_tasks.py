@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bench_common import RESULTS_DIR, WORKERS
 from repro.analysis.runner import RunSpec, sweep_reports
+from repro.core.broadcast import RunConfig
 from repro.analysis.tables import Table
 
 E14_N = 2**12
@@ -33,15 +34,15 @@ ALGOS = ("push-pull", "cluster2")
 
 
 def _task_spec(algorithm, n, seed, task, task_kwargs, schedule=None):
-    return RunSpec(
-        algorithm=algorithm,
-        n=n,
-        seed=seed,
+    cfg = RunConfig(
+        n,
+        algorithm,
         schedule=schedule,
         task=task,
         task_kwargs=task_kwargs,
         check_model=False,
     )
+    return RunSpec(cfg, seed)
 
 
 def test_e14_krumor_scaling():

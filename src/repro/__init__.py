@@ -27,6 +27,7 @@ Layout:
 from repro.core.broadcast import (
     BroadcastResult,
     ReplicationEngine,
+    RunConfig,
     broadcast,
     run_replications,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "PAPER",
     "Profile",
     "ReplicationEngine",
+    "RunConfig",
     "Simulator",
     "TaskSpec",
     "UNCLUSTERED",

@@ -18,52 +18,32 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.stats import ReplicationSummary, Summary, summarize
-from repro.core.broadcast import broadcast, run_replications
+from repro.core.broadcast import RunConfig, replicate_config, run_config
 from repro.core.result import AlgorithmReport
 from repro.obs.telemetry import Telemetry, TelemetryConfig
-from repro.sim.dynamics import AdversitySchedule
-from repro.sim.schedule import EventSchedulerSpec
-from repro.sim.topology import Topology
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One flat, picklable job: everything :func:`broadcast` needs.
+    """One flat, picklable job: a :class:`~repro.core.broadcast.RunConfig`
+    plus where and how often to run it.
 
     The unit of work the sweep executor ships to worker processes;
     scenario suites (:mod:`repro.workloads.scenarios`) compile to these
-    too, so every grid in the library runs through one executor.
-    ``schedule`` (an :class:`~repro.sim.dynamics.AdversitySchedule`) is
-    itself a frozen, picklable spec, so dynamic-adversity jobs fan out
-    with the same bit-identical-for-any-worker-count guarantee.
+    too, so every grid in the library runs through one executor.  The
+    config is frozen and already validated, so jobs fan out with the
+    same bit-identical-for-any-worker-count guarantee whatever it holds.
 
     ``reps`` makes the job a *replication suite*: executed via
     :func:`replicate_spec`, it fans ``seed .. seed + reps - 1`` through
-    :func:`repro.core.broadcast.run_replications` on the ``engine`` of
+    :func:`repro.core.broadcast.replicate_config` on the ``engine`` of
     choice and returns a streamed
     :class:`~repro.analysis.stats.ReplicationSummary` instead of one
     record per seed.
     """
 
-    algorithm: str
-    n: int
-    seed: int
-    source: Optional[int] = 0
-    message_bits: int = 256
-    failures: float = 0
-    failure_pattern: str = "random"
-    check_model: bool = True
-    schedule: Optional[AdversitySchedule] = None
-    task: str = "broadcast"
-    task_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Contact topology (a frozen :class:`~repro.sim.topology.Topology`
-    #: spec or a registered name); None is the paper's complete graph.
-    topology: "Topology | str | None" = None
-    direct_addressing: str = "global"
-    #: Execution tier: None/"round" is the synchronous round engine,
-    #: "event" (or a frozen :class:`~repro.sim.schedule.EventSchedulerSpec`)
-    #: overlays the event-queue clock on the same logical execution.
-    scheduler: "EventSchedulerSpec | str | None" = None
+    config: RunConfig
+    seed: int = 0
     reps: int = 1
     engine: str = "auto"
     #: Optional frozen telemetry knobs: the job builds a collector inside
@@ -71,69 +51,29 @@ class RunSpec:
     #: back on the result (``report.extras["telemetry"]`` /
     #: ``summary.telemetry``) for the parent to merge and export.
     telemetry: Optional[TelemetryConfig] = None
-    #: Contact-level causal tracing (event tier; upgrades the scheduler
-    #: when none is set).  Reports gain critical_path_len/dilation
-    #: extras; replication summaries gain the matching streams.
-    trace: bool = False
-    kwargs: Dict[str, Any] = field(default_factory=dict)
+
+    def _collector(self) -> Optional[Telemetry]:
+        if self.telemetry is None:
+            return None
+        return Telemetry.from_config(self.telemetry)
 
     def run(self) -> AlgorithmReport:
         """Execute this job once (at ``seed``), returning the full report."""
-        collector = (
-            Telemetry.from_config(self.telemetry)
-            if self.telemetry is not None
-            else None
-        )
-        report = broadcast(
-            self.n,
-            self.algorithm,
-            seed=self.seed,
-            source=self.source,
-            message_bits=self.message_bits,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=dict(self.task_kwargs),
-            topology=self.topology,
-            direct_addressing=self.direct_addressing,
-            scheduler=self.scheduler,
-            trace=self.trace,
-            telemetry=collector,
-            check_model=self.check_model,
-            **self.kwargs,
-        )
+        collector = self._collector()
+        report = run_config(self.config, self.seed, telemetry=collector)
         if collector is not None:
             report.extras["telemetry"] = collector
         return report
 
     def replicate(self) -> ReplicationSummary:
         """Execute this job as a ``reps``-seed streamed replication suite."""
-        collector = (
-            Telemetry.from_config(self.telemetry)
-            if self.telemetry is not None
-            else None
-        )
-        summary = run_replications(
-            self.n,
-            self.algorithm,
-            reps=self.reps,
+        collector = self._collector()
+        summary = replicate_config(
+            self.config,
+            self.reps,
             base_seed=self.seed,
             engine=self.engine,
-            source=self.source,
-            message_bits=self.message_bits,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=dict(self.task_kwargs),
-            topology=self.topology,
-            direct_addressing=self.direct_addressing,
-            scheduler=self.scheduler,
-            trace=self.trace,
             telemetry=collector,
-            check_model=self.check_model,
-            **self.kwargs,
         )
         if collector is not None:
             summary.telemetry = collector
@@ -141,24 +81,7 @@ class RunSpec:
 
     def describe(self) -> str:
         tail = f" x{self.reps}" if self.reps > 1 else f" seed={self.seed}"
-        middle = "" if self.task == "broadcast" else f" task={self.task}"
-        where = ""
-        if self.topology is not None:
-            name = (
-                self.topology
-                if isinstance(self.topology, str)
-                else self.topology.describe()
-            )
-            if name != "complete":
-                where = f" @{name}"
-        tier = ""
-        if self.scheduler is not None and self.scheduler != "round":
-            tier = (
-                " [event]"
-                if isinstance(self.scheduler, str)
-                else f" [{self.scheduler.describe()}]"
-            )
-        return f"{self.algorithm}{middle}{where}{tier} n={self.n}{tail}"
+        return f"{self.config.describe()}{tail}"
 
 
 @dataclass(frozen=True)
@@ -187,8 +110,8 @@ def record_from_report(report: AlgorithmReport, spec: RunSpec) -> RunRecord:
         if isinstance(v, (int, float, str, bool))
     }
     return RunRecord(
-        algorithm=spec.algorithm,
-        n=spec.n,
+        algorithm=spec.config.algorithm,
+        n=spec.config.n,
         seed=spec.seed,
         rounds=report.rounds,
         spread_rounds=report.spread_rounds,
@@ -221,79 +144,35 @@ def replicate_spec(spec: RunSpec) -> ReplicationSummary:
     return spec.replicate()
 
 
-def run_once(
-    algorithm: str,
-    n: int,
-    seed: int,
-    *,
-    source: Optional[int] = 0,
-    message_bits: int = 256,
-    failures: float = 0,
-    failure_pattern: str = "random",
-    schedule: Optional[AdversitySchedule] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    check_model: bool = True,
-    **kwargs: Any,
-) -> RunRecord:
-    """Run one configuration through :func:`repro.core.broadcast.broadcast`."""
-    return run_spec(
-        RunSpec(
-            algorithm=algorithm,
-            n=n,
-            seed=seed,
-            source=source,
-            message_bits=message_bits,
-            failures=failures,
-            failure_pattern=failure_pattern,
-            schedule=schedule,
-            topology=topology,
-            direct_addressing=direct_addressing,
-            scheduler=scheduler,
-            check_model=check_model,
-            kwargs=kwargs,
-        )
-    )
+def run_once(algorithm: str, n: int, seed: int, **config: Any) -> RunRecord:
+    """Run one configuration through :func:`repro.core.broadcast.run_config`
+    (``config``: :func:`~repro.core.broadcast.broadcast`'s keywords)."""
+    return run_spec(RunSpec(RunConfig.build(n, algorithm, **config), seed))
 
 
 def expand_grid(
     algorithms: Sequence[str],
     ns: Sequence[int],
     seeds: Sequence[int],
-    *,
-    source: Optional[int] = 0,
-    message_bits: int = 256,
-    failures: float = 0,
-    failure_pattern: str = "random",
-    schedule: Optional[AdversitySchedule] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    check_model: bool = True,
-    **kwargs: Any,
+    **config: Any,
 ) -> List[RunSpec]:
     """Flatten an ``algorithm x n x seed`` grid into jobs, algorithm-major
-    (the historical serial-loop order, which fixes the output order)."""
+    (the historical serial-loop order, which fixes the output order).
+    Each ``(algorithm, n)`` cell builds one
+    :class:`~repro.core.broadcast.RunConfig`, shared by its seeds."""
     return [
-        RunSpec(
-            algorithm=algorithm,
-            n=n,
-            seed=seed,
-            source=source,
-            message_bits=message_bits,
-            failures=failures,
-            failure_pattern=failure_pattern,
-            schedule=schedule,
-            topology=topology,
-            direct_addressing=direct_addressing,
-            scheduler=scheduler,
-            check_model=check_model,
-            kwargs=dict(kwargs),
-        )
-        for algorithm in algorithms
-        for n in ns
+        RunSpec(cfg, seed)
+        for cfg in _configs(algorithms, ns, config)
         for seed in seeds
+    ]
+
+
+def _configs(
+    algorithms: Sequence[str], ns: Sequence[int], config: Dict[str, Any]
+) -> List[RunConfig]:
+    """One validated config per ``(algorithm, n)`` cell, algorithm-major."""
+    return [
+        RunConfig.build(n, algorithm, **config) for algorithm in algorithms for n in ns
     ]
 
 
@@ -348,32 +227,13 @@ def sweep(
     ns: Sequence[int],
     seeds: Sequence[int],
     *,
-    message_bits: int = 256,
-    failures: float = 0,
-    schedule: Optional[AdversitySchedule] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    check_model: bool = True,
     workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    **kwargs: Any,
+    **config: Any,
 ) -> List[RunRecord]:
     """Full grid sweep; deterministic given the seed list, bit-identical
     for every ``workers`` value."""
-    specs = expand_grid(
-        algorithms,
-        ns,
-        seeds,
-        message_bits=message_bits,
-        failures=failures,
-        schedule=schedule,
-        topology=topology,
-        direct_addressing=direct_addressing,
-        scheduler=scheduler,
-        check_model=check_model,
-        **kwargs,
-    )
+    specs = expand_grid(algorithms, ns, seeds, **config)
     return execute(specs, workers=workers, progress=progress)
 
 
@@ -384,38 +244,16 @@ def replication_sweep(
     *,
     base_seed: int = 0,
     engine: str = "auto",
-    message_bits: int = 256,
-    failures: float = 0,
-    schedule: Optional[AdversitySchedule] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    check_model: bool = True,
     workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    **kwargs: Any,
+    **config: Any,
 ) -> List[ReplicationSummary]:
     """An ``algorithm x n`` grid where every cell is a ``reps``-seed
     streamed replication suite (cells fan out over ``workers`` processes;
     within a cell the replications stream through one engine)."""
     specs = [
-        RunSpec(
-            algorithm=algorithm,
-            n=n,
-            seed=base_seed,
-            message_bits=message_bits,
-            failures=failures,
-            schedule=schedule,
-            topology=topology,
-            direct_addressing=direct_addressing,
-            scheduler=scheduler,
-            check_model=check_model,
-            reps=reps,
-            engine=engine,
-            kwargs=dict(kwargs),
-        )
-        for algorithm in algorithms
-        for n in ns
+        RunSpec(cfg, base_seed, reps=reps, engine=engine)
+        for cfg in _configs(algorithms, ns, config)
     ]
     return execute(specs, workers=workers, progress=progress, job=replicate_spec)
 

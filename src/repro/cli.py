@@ -51,7 +51,13 @@ from repro.analysis.runner import (
     sweep_reports,
 )
 from repro.analysis.tables import Table
-from repro.core.broadcast import REPLICATION_ENGINES, broadcast, run_replications
+from repro.core.broadcast import (
+    REPLICATION_ENGINES,
+    RunConfig,
+    replicate_config,
+    report_scalars,
+    run_config,
+)
 from repro.obs import (
     Telemetry,
     TelemetryConfig,
@@ -65,7 +71,6 @@ from repro.registry import (
     algorithm_names,
     algorithm_specs,
     compatible_algorithms,
-    compatible_topologies,
     make_topology,
     task_names,
     task_specs,
@@ -126,14 +131,10 @@ def _parse_task_arg(text: str) -> "tuple[str, Any]":
     return key, value
 
 
-def _task_kwargs_from_args(args: argparse.Namespace) -> Dict[str, Any]:
-    return dict(getattr(args, "task_arg", None) or [])
-
-
 def _topology_from_args(args: argparse.Namespace):
     """Build the ``--topology``/``--topology-arg`` spec (None = complete)."""
-    name = getattr(args, "topology", None)
-    topo_kwargs = dict(getattr(args, "topology_arg", None) or [])
+    name = args.topology
+    topo_kwargs = dict(args.topology_arg or [])
     if name is None:
         if topo_kwargs:
             raise ValueError("--topology-arg needs --topology")
@@ -141,15 +142,61 @@ def _topology_from_args(args: argparse.Namespace):
     return make_topology(name, **topo_kwargs)
 
 
-def _add_topology_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+def _schedule_from_args(args: argparse.Namespace) -> Optional[AdversitySchedule]:
+    """Compose ``--schedule`` / ``--churn`` / ``--loss`` into one timeline."""
+    events = []
+    base = resolve_schedule(args.schedule)
+    if base is not None:
+        events.extend(base.events)
+    if args.churn:
+        events.append(CrashTrickle(rate=args.churn))
+    if args.loss:
+        events.append(MessageLoss(p=args.loss))
+    return AdversitySchedule(tuple(events)) if events else None
+
+
+def _scheduler_from_args(args: argparse.Namespace) -> "EventSchedulerSpec | str | None":
+    """Compose ``--scheduler`` / ``--delay`` into one scheduler spec
+    (``--delay`` implies the event tier)."""
+    if args.delay is not None:
+        if args.scheduler == "round":
+            raise ValueError("--delay needs the event tier, not --scheduler round")
+        return EventSchedulerSpec(delay=parse_delay(args.delay))
+    return args.scheduler
+
+
+def _config_parent() -> argparse.ArgumentParser:
+    """The run-description flags ``run`` and ``sweep`` share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--message-bits", type=int, default=256)
+    parent.add_argument(
+        "--schedule",
+        default=None,
+        help="dynamic-adversity timeline: a preset name (see list-schedules) "
+        "or a spec string like 'loss:0.02,crash@5:0.1,blackout@8-12:64'",
+    )
+    parent.add_argument(
+        "--churn",
+        type=float,
+        default=None,
+        help="per-node per-round Bernoulli crash probability (adds a trickle "
+        "on top of --schedule)",
+    )
+    parent.add_argument(
+        "--loss",
+        type=float,
+        default=None,
+        help="i.i.d. per-message drop probability (adds a loss window on top "
+        "of --schedule)",
+    )
+    parent.add_argument(
         "--topology",
         default=None,
         choices=topology_names(),
         help="contact topology (default: the paper's complete graph; "
         "see list-topologies)",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--topology-arg",
         type=_parse_task_arg,
         action="append",
@@ -157,7 +204,7 @@ def _add_topology_flags(parser: argparse.ArgumentParser) -> None:
         help="topology knob, repeatable (e.g. --topology-arg k=2, "
         "--topology-arg d=8)",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--addressing",
         default="global",
         choices=["global", "topology"],
@@ -166,48 +213,7 @@ def _add_topology_flags(parser: argparse.ArgumentParser) -> None:
         "learned addresses are always routable) or 'topology' (direct "
         "calls must follow contact-graph edges)",
     )
-
-
-def _schedule_from_args(args: argparse.Namespace) -> Optional[AdversitySchedule]:
-    """Compose ``--schedule`` / ``--churn`` / ``--loss`` into one timeline."""
-    events = []
-    base = resolve_schedule(getattr(args, "schedule", None))
-    if base is not None:
-        events.extend(base.events)
-    churn = getattr(args, "churn", None)
-    if churn:
-        events.append(CrashTrickle(rate=churn))
-    loss = getattr(args, "loss", None)
-    if loss:
-        events.append(MessageLoss(p=loss))
-    return AdversitySchedule(tuple(events)) if events else None
-
-
-def _add_dynamics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--schedule",
-        default=None,
-        help="dynamic-adversity timeline: a preset name (see list-schedules) "
-        "or a spec string like 'loss:0.02,crash@5:0.1,blackout@8-12:64'",
-    )
-    parser.add_argument(
-        "--churn",
-        type=float,
-        default=None,
-        help="per-node per-round Bernoulli crash probability (adds a trickle "
-        "on top of --schedule)",
-    )
-    parser.add_argument(
-        "--loss",
-        type=float,
-        default=None,
-        help="i.i.d. per-message drop probability (adds a loss window on top "
-        "of --schedule)",
-    )
-
-
-def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    parent.add_argument(
         "--scheduler",
         default=None,
         choices=list(SCHEDULER_NAMES),
@@ -215,7 +221,7 @@ def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
         "default) or 'event' (the event-queue scheduler: same logical "
         "rounds, per-contact latencies, a simulated clock)",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--delay",
         default=None,
         metavar="SPEC",
@@ -223,22 +229,7 @@ def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
         "NAME[:ARGS], e.g. 'constant:2', 'jitter:0.5,1.5', "
         "'straggler:fraction=0.02,factor=10', 'wan', 'rate-limited'",
     )
-
-
-def _scheduler_from_args(args: argparse.Namespace) -> "EventSchedulerSpec | str | None":
-    """Compose ``--scheduler`` / ``--delay`` into one scheduler spec
-    (``--delay`` implies the event tier)."""
-    name = getattr(args, "scheduler", None)
-    delay = getattr(args, "delay", None)
-    if delay is not None:
-        if name == "round":
-            raise ValueError("--delay needs the event tier, not --scheduler round")
-        return EventSchedulerSpec(delay=parse_delay(delay))
-    return name
-
-
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    parent.add_argument(
         "--telemetry",
         default=None,
         metavar="PATH",
@@ -246,7 +237,7 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         "probe series, trace events) and export it as JSONL to PATH "
         "(render with `repro report PATH`)",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--probe-every",
         type=int,
         default=1,
@@ -254,10 +245,31 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         help="with --telemetry, sample the per-round probes every K "
         "committed rounds (default 1)",
     )
+    return parent
+
+
+def _knobs_from_args(args: argparse.Namespace) -> Dict[str, Any]:
+    """The :class:`~repro.core.broadcast.RunConfig` knobs the parsed
+    flags describe (``run``'s own ``--failures``/``--task`` flags
+    included when present)."""
+    knobs: Dict[str, Any] = dict(
+        message_bits=args.message_bits,
+        schedule=_schedule_from_args(args),
+        topology=_topology_from_args(args),
+        direct_addressing=args.direct_addressing,
+        scheduler=_scheduler_from_args(args),
+    )
+    if "task" in args:
+        knobs.update(
+            failures=args.failures,
+            task=args.task,
+            task_kwargs=dict(args.task_arg or []),
+        )
+    return knobs
 
 
 def _telemetry_from_args(args: argparse.Namespace) -> Optional[Telemetry]:
-    if getattr(args, "telemetry", None) is None:
+    if args.telemetry is None:
         return None
     return Telemetry(probe_every=args.probe_every)
 
@@ -267,7 +279,7 @@ def _trace_collector(
 ) -> "tuple[Optional[Telemetry], bool]":
     """Upgrade the collector for ``--trace PATH``: tracing needs a
     collector to export through even when ``--telemetry`` is absent."""
-    if getattr(args, "trace", None) is None:
+    if args.trace is None:
         return collector, False
     return collector or Telemetry(probe_every=args.probe_every), True
 
@@ -282,9 +294,8 @@ def _write_telemetry(collector: Optional[Telemetry], path: Optional[str]) -> Non
 def _write_trace(collector: Optional[Telemetry], args: argparse.Namespace) -> None:
     """Export the collector to the ``--trace`` path (when it differs from
     the ``--telemetry`` path, which `_write_telemetry` already covered)."""
-    trace_path = getattr(args, "trace", None)
-    if trace_path is not None and trace_path != getattr(args, "telemetry", None):
-        _write_telemetry(collector, trace_path)
+    if args.trace is not None and args.trace != args.telemetry:
+        _write_telemetry(collector, args.trace)
 
 
 def _replication_table(summaries, title: str) -> Table:
@@ -313,7 +324,9 @@ def _replication_table(summaries, title: str) -> Table:
     return table
 
 
-def _cmd_run_replications(args: argparse.Namespace) -> int:
+def _cmd_run_replications(
+    args: argparse.Namespace, cfg: RunConfig, collector: Optional[Telemetry]
+) -> int:
     consume = None
     if args.stream:
 
@@ -327,28 +340,17 @@ def _cmd_run_replications(args: argparse.Namespace) -> int:
                 f"success={scalars['success']}"
             )
 
-    collector, traced = _trace_collector(args, _telemetry_from_args(args))
-    summary = run_replications(
-        args.n,
-        args.algorithm,
-        reps=args.reps,
+    summary = replicate_config(
+        cfg,
+        args.reps,
         base_seed=args.seed,
         engine=args.engine,
-        message_bits=args.message_bits,
-        failures=args.failures,
-        schedule=_schedule_from_args(args),
-        task=args.task,
-        task_kwargs=_task_kwargs_from_args(args),
-        topology=_topology_from_args(args),
-        direct_addressing=args.direct_addressing,
-        scheduler=_scheduler_from_args(args),
         consume=consume,
         workers=args.workers,
         telemetry=collector,
-        trace=traced,
     )
     print(_replication_table([summary], f"{args.reps} replications").render())
-    if traced:
+    if args.trace is not None:
         row = summary.row()
         if "critical_path_len_mean" in row:
             print(
@@ -379,8 +381,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Configuration errors — an (algorithm, task) pair with no registered
     # transport, an incompatible topology, an unknown knob — are user
     # input, not bugs: print the library's message cleanly instead of a
-    # traceback.  (broadcast() and run_replications() raise ValueError
-    # subclasses for all of them.)
+    # traceback.  (RunConfig and plan() raise ValueError subclasses for
+    # all of them.)
     try:
         return _cmd_run_checked(args)
     except ValueError as exc:
@@ -389,30 +391,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_checked(args: argparse.Namespace) -> int:
+    collector, traced = _trace_collector(args, _telemetry_from_args(args))
+    cfg = RunConfig.build(args.n, args.algorithm, trace=traced, **_knobs_from_args(args))
     if args.reps > 1:
-        return _cmd_run_replications(args)
+        return _cmd_run_replications(args, cfg, collector)
     if args.stream or args.engine != "auto":
         print(
             "note: --stream/--engine only apply with --reps > 1; "
             "running a single broadcast",
             file=sys.stderr,
         )
-    collector, traced = _trace_collector(args, _telemetry_from_args(args))
-    report = broadcast(
-        args.n,
-        args.algorithm,
-        seed=args.seed,
-        message_bits=args.message_bits,
-        failures=args.failures,
-        schedule=_schedule_from_args(args),
-        task=args.task,
-        task_kwargs=_task_kwargs_from_args(args),
-        topology=_topology_from_args(args),
-        direct_addressing=args.direct_addressing,
-        scheduler=_scheduler_from_args(args),
-        trace=traced,
-        telemetry=collector,
-    )
+    report = run_config(cfg, args.seed, telemetry=collector)
     print(report)
     print()
     print(report.metrics.phase_report())
@@ -453,8 +442,6 @@ def _cmd_run_checked(args: argparse.Namespace) -> int:
             f"messages lost={report.extras.get('dyn_messages_lost', 0)}"
         )
     if args.json:
-        from repro.core.broadcast import report_scalars
-
         payload = {
             "algorithm": args.algorithm,
             "task": args.task,
@@ -505,14 +492,7 @@ def _sweep_with_telemetry(args: argparse.Namespace):
     specs = [
         replace(spec, telemetry=config)
         for spec in expand_grid(
-            args.algorithms,
-            args.ns,
-            list(range(args.seeds)),
-            message_bits=args.message_bits,
-            schedule=_schedule_from_args(args),
-            topology=_topology_from_args(args),
-            direct_addressing=args.direct_addressing,
-            scheduler=_scheduler_from_args(args),
+            args.algorithms, args.ns, list(range(args.seeds)), **_knobs_from_args(args)
         )
     ]
     reports = sweep_reports(specs, workers=args.workers)
@@ -537,12 +517,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 args.algorithms,
                 args.ns,
                 list(range(args.seeds)),
-                message_bits=args.message_bits,
-                schedule=_schedule_from_args(args),
-                topology=_topology_from_args(args),
-                direct_addressing=args.direct_addressing,
-                scheduler=_scheduler_from_args(args),
                 workers=args.workers,
+                **_knobs_from_args(args),
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -732,7 +708,8 @@ def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     print("scenarios:")
     for name in scenario_names():
         sc = SCENARIOS[name]
-        dyn = f" [schedule: {sc.schedule.describe()}]" if sc.schedule else ""
+        schedule = sc.config.schedule
+        dyn = f" [schedule: {schedule.describe()}]" if schedule else ""
         print(f"  {name}: {sc.description}{dyn}")
     return 0
 
@@ -764,12 +741,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {_version()}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_parent = _config_parent()
 
-    p_run = sub.add_parser("run", help="run one broadcast (or a replication suite)")
+    p_run = sub.add_parser(
+        "run",
+        parents=[config_parent],
+        help="run one broadcast (or a replication suite)",
+    )
     p_run.add_argument("--n", type=int, default=4096)
     p_run.add_argument("--algorithm", default="cluster2", choices=algorithm_names())
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--message-bits", type=int, default=256)
     p_run.add_argument("--failures", type=int, default=0)
     p_run.add_argument(
         "--task",
@@ -803,8 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=REPLICATION_ENGINES,
         help="replication engine: vector = batched (R,n) executor, reset = "
-        "memory-lean sequential (bit-identical to single runs), rebuild = "
-        "the legacy per-seed loop, auto = best available",
+        "memory-lean sequential (bit-identical to single runs), auto = best "
+        "available",
     )
     p_run.add_argument(
         "--workers",
@@ -815,10 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
         "plan is worker-count independent, so any W yields the same "
         "summary; incompatible with --stream)",
     )
-    _add_dynamics_flags(p_run)
-    _add_topology_flags(p_run)
-    _add_scheduler_flags(p_run)
-    _add_telemetry_flags(p_run)
     p_run.add_argument(
         "--trace",
         default=None,
@@ -838,11 +815,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="algorithm x n x seed grid")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[config_parent], help="algorithm x n x seed grid"
+    )
     p_sweep.add_argument("--algorithms", nargs="+", default=["push-pull", "cluster2"])
     p_sweep.add_argument("--ns", nargs="+", type=int, default=[2**10, 2**12, 2**14])
     p_sweep.add_argument("--seeds", type=int, default=3)
-    p_sweep.add_argument("--message-bits", type=int, default=256)
     p_sweep.add_argument(
         "--workers",
         type=int,
@@ -850,10 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = serial, 0 = one per core); records are "
         "bit-identical for every value",
     )
-    _add_dynamics_flags(p_sweep)
-    _add_topology_flags(p_sweep)
-    _add_scheduler_flags(p_sweep)
-    _add_telemetry_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_report = sub.add_parser(

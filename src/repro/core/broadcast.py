@@ -5,6 +5,13 @@
     >>> result.success, result.rounds, round(result.messages_per_node, 1)
     (True, ..., ...)
 
+Every run is described by one frozen :class:`RunConfig` — network size,
+algorithm, adversity, task, topology, scheduler — validated and resolved
+once on construction.  :func:`broadcast` and :func:`run_replications`
+are thin keyword wrappers that build one; :func:`run_config` and
+:func:`replicate_config` execute an existing config, and :func:`plan`
+(a pure function) decides which replication engine will run it.
+
 Dispatch is a thin lookup in :mod:`repro.registry`: every algorithm —
 the paper's and every baseline — self-registers an
 :class:`~repro.registry.AlgorithmSpec`, so sweeps in
@@ -25,6 +32,7 @@ runs it through the algorithm's registered task transport::
 from __future__ import annotations
 
 import logging
+from dataclasses import InitVar, dataclass, field, fields
 from dataclasses import replace as _dc_replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
@@ -68,79 +76,41 @@ _log = logging.getLogger(__name__)
 
 __all__ = [
     "BroadcastResult",
+    "EnginePlan",
     "ReplicationEngine",
+    "RunConfig",
     "algorithm_names",
     "broadcast",
+    "plan",
+    "replicate_config",
+    "run_config",
     "run_replications",
 ]
 
 
-def _check_task(spec: AlgorithmSpec, task: str) -> None:
-    """Validate an (algorithm, task) pair before any network is built.
+@dataclass(frozen=True)
+class RunConfig:
+    """One run description, validated and resolved once on construction.
 
-    The implicit broadcast task is exempt: its (historical) gate is
-    ``AlgorithmSpec.run``'s broadcastable check, with its own message.
-    """
-    get_task(task)  # raises UnknownTaskError on a miss
-    if task != BROADCAST_TASK and not spec.supports_task(task):
-        raise IncompatibleTaskError(
-            f"algorithm {spec.name!r} has no registered task transport for "
-            f"task {task!r}; compatible algorithms: "
-            f"{compatible_algorithms(task)}"
-        )
+    Frozen and picklable: the same instance drives single runs
+    (:func:`run_config`), replication suites (:func:`replicate_config`),
+    sweep jobs (:class:`~repro.analysis.runner.RunSpec`) and scenario
+    presets (:class:`~repro.workloads.scenarios.Scenario`), in this
+    process or a worker's.  Construction checks the (algorithm, task)
+    and (algorithm, topology) pairs, the addressing mode, the task's
+    knobs, the source index, the topology's size rule and per-edge
+    delays against the graph, and normalises ``topology``,
+    ``schedule``, ``scheduler`` and ``profile`` to their frozen specs —
+    so a bad configuration fails before any network is built, with a
+    one-line ``ValueError``, and no consumer re-checks.
 
-
-def _check_topology(
-    spec: AlgorithmSpec, topology: Topology, direct_addressing: str
-) -> None:
-    """Validate an (algorithm, topology) pair and the addressing mode
-    before any network is built — a clear error beats a wrong run."""
-    if direct_addressing not in ADDRESSING_MODES:
-        raise ValueError(
-            f"direct_addressing must be one of {ADDRESSING_MODES}, "
-            f"got {direct_addressing!r}"
-        )
-    if not spec.supports_topology(topology):
-        raise IncompatibleTopologyError(
-            f"algorithm {spec.name!r} only runs on the complete contact "
-            f"graph, not on {topology.describe()!r}; compatible topologies: "
-            f"{compatible_topologies(spec.name)}"
-        )
-
-
-def broadcast(
-    n: int,
-    algorithm: str = "cluster2",
-    *,
-    seed: int = 0,
-    source: Optional[int] = 0,
-    message_bits: int = 256,
-    failures: float = 0,
-    failure_pattern: str = "random",
-    schedule: "AdversitySchedule | str | None" = None,
-    task: str = BROADCAST_TASK,
-    task_kwargs: Optional[Dict[str, Any]] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    profile: "Profile | str" = LAPTOP,
-    trace: "Trace | bool | None" = None,
-    telemetry: "Optional[Telemetry]" = None,
-    check_model: bool = True,
-    **algorithm_kwargs,
-) -> AlgorithmReport:
-    """Broadcast a ``message_bits``-bit rumor from ``source`` to all nodes.
-
-    Parameters
-    ----------
+    Fields
+    ------
     n:
         Network size.
     algorithm:
         One of :func:`repro.registry.algorithm_names` (default the
         paper's Cluster2).
-    seed:
-        Master seed; network addressing, failures and the algorithm's coins
-        all derive deterministic substreams from it.
     source:
         Index of the initially informed node, or None for a uniformly
         random *surviving* node (Theorem 19's setting: the rumor starts at
@@ -192,16 +162,157 @@ def broadcast(
         ``extras["sim_time"]`` (the simulated completion time).  Delay
         resolution: explicit spec delay > topology ``delay=``
         annotation > unit constant.
+    profile:
+        Constant-resolution profile or its name.
+    check_model:
+        Enable the engine's one-initiation-per-round validation.
+    algorithm_kwargs:
+        Extra knobs forwarded to the algorithm (its
+        :class:`~repro.registry.AlgorithmSpec` lists the accepted names,
+        e.g. ``{"delta": 64}`` for ``cluster3``).
+    trace:
+        Init-only.  ``True`` switches on contact-level causal tracing:
+        the scheduler (upgraded to the event tier when none was
+        requested) fills a :class:`~repro.obs.trace.ContactTrace`, and
+        each report gains ``extras["contact_trace"]`` /
+        ``extras["critical_path"]`` / ``extras["critical_path_len"]`` /
+        ``extras["dilation"]``.
+    """
+
+    n: int
+    algorithm: str = "cluster2"
+    source: Optional[int] = 0
+    message_bits: int = 256
+    failures: float = 0
+    failure_pattern: str = "random"
+    schedule: "AdversitySchedule | str | None" = None
+    task: str = BROADCAST_TASK
+    task_kwargs: Dict[str, Any] = field(default_factory=dict)
+    topology: "Topology | str | None" = None
+    direct_addressing: str = "global"
+    scheduler: "EventSchedulerSpec | str | None" = None
+    profile: "Profile | str" = LAPTOP
+    check_model: bool = True
+    algorithm_kwargs: Dict[str, Any] = field(default_factory=dict)
+    trace: InitVar[bool] = False
+
+    def __post_init__(self, trace: bool) -> None:
+        spec = get_algorithm(self.algorithm)
+        task = get_task(self.task)  # raises UnknownTaskError on a miss
+        # The implicit broadcast task is exempt: its (historical) gate is
+        # AlgorithmSpec.run's broadcastable check, with its own message.
+        if task.name != BROADCAST_TASK:
+            if not spec.supports_task(task.name):
+                raise IncompatibleTaskError(
+                    f"algorithm {spec.name!r} has no registered task transport "
+                    f"for task {task.name!r}; compatible algorithms: "
+                    f"{compatible_algorithms(task.name)}"
+                )
+            # The vector path calls a batch runner directly (never
+            # TaskSpec.build), so the task's knobs are checked here.
+            task.validate_kwargs(self.task_kwargs)
+        if self.direct_addressing not in ADDRESSING_MODES:
+            raise ValueError(
+                f"direct_addressing must be one of {ADDRESSING_MODES}, "
+                f"got {self.direct_addressing!r}"
+            )
+        topology = resolve_topology(self.topology)
+        if not spec.supports_topology(topology):
+            raise IncompatibleTopologyError(
+                f"algorithm {spec.name!r} only runs on the complete contact "
+                f"graph, not on {topology.describe()!r}; compatible topologies: "
+                f"{compatible_topologies(spec.name)}"
+            )
+        topology.check_size(self.n)
+        if self.source is not None and not 0 <= self.source < self.n:
+            raise ValueError(f"source {self.source} out of range for n={self.n}")
+        scheduler = resolve_scheduler(self.scheduler)
+        if trace:
+            # Contact tracing implies the event tier.
+            scheduler = (
+                EventSchedulerSpec(trace=True)
+                if scheduler is None
+                else _dc_replace(scheduler, trace=True)
+            )
+        if scheduler is not None:
+            scheduler.resolve_delay(topology).check_topology(topology)
+        profile = self.profile
+        resolved = {
+            "topology": topology,
+            "schedule": resolve_schedule(self.schedule),
+            "scheduler": scheduler,
+            "profile": get_profile(profile) if isinstance(profile, str) else profile,
+            "task_kwargs": dict(self.task_kwargs or {}),
+            "algorithm_kwargs": dict(self.algorithm_kwargs),
+        }
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def build(
+        cls, n: int, algorithm: str = "cluster2", *, trace: bool = False, **knobs: Any
+    ) -> "RunConfig":
+        """Build from one flat keyword set, the calling shape of
+        :func:`broadcast`: keywords naming a field are run knobs, every
+        other keyword is an algorithm knob (``delta=64``)."""
+        own = _run_knobs(knobs)
+        return cls(n, algorithm, trace=trace, algorithm_kwargs=knobs, **own)
+
+    def patch(self, **knobs: Any) -> "RunConfig":
+        """A re-validated copy with ``knobs`` (flat, as for :meth:`build`)
+        overriding this config's values."""
+        own = _run_knobs(knobs)
+        algorithm_kwargs = {**self.algorithm_kwargs, **knobs}
+        return _dc_replace(self, algorithm_kwargs=algorithm_kwargs, **own)
+
+    @property
+    def spec(self) -> AlgorithmSpec:
+        """The algorithm's registry entry."""
+        return get_algorithm(self.algorithm)
+
+    def describe(self) -> str:
+        """One-line label, e.g. ``push-pull task=push-sum @ring(k=4) n=512``."""
+        task = "" if self.task == BROADCAST_TASK else f" task={self.task}"
+        where = "" if self.topology.complete else f" @{self.topology.describe()}"
+        tier = "" if self.scheduler is None else f" [{self.scheduler.describe()}]"
+        return f"{self.algorithm}{task}{where}{tier} n={self.n}"
+
+
+#: The flat keywords that name :class:`RunConfig` fields.
+_RUN_KNOBS = frozenset(f.name for f in fields(RunConfig)) - {"algorithm_kwargs"}
+
+
+def _run_knobs(knobs: Dict[str, Any]) -> Dict[str, Any]:
+    """Pop the run knobs out of a flat keyword set, leaving the
+    algorithm's knobs behind."""
+    return {name: knobs.pop(name) for name in _RUN_KNOBS & knobs.keys()}
+
+
+def broadcast(
+    n: int,
+    algorithm: str = "cluster2",
+    *,
+    seed: int = 0,
+    trace: "Trace | bool | None" = None,
+    telemetry: "Optional[Telemetry]" = None,
+    **config: Any,
+) -> AlgorithmReport:
+    """Broadcast a ``message_bits``-bit rumor from ``source`` to all nodes.
+
+    ``config`` holds the run knobs — every :class:`RunConfig` field
+    (``source``, ``message_bits``, ``failures``, ``schedule``, ``task``,
+    ``topology``, ``scheduler``, ...) — plus any extra algorithm knobs
+    (e.g. ``delta=64`` for ``cluster3``).
+
+    Parameters
+    ----------
+    seed:
+        Master seed; network addressing, failures and the algorithm's coins
+        all derive deterministic substreams from it.
     trace:
         ``Trace`` instance for round-level event capture (the legacy
         knob), or ``True`` as shorthand for contact-level causal
-        tracing on the event tier: the scheduler (upgraded to the event
-        tier when none was requested) fills a
-        :class:`~repro.obs.trace.ContactTrace`, and the report gains
-        ``extras["contact_trace"]`` / ``extras["critical_path"]`` /
-        ``extras["critical_path_len"]`` / ``extras["dilation"]``.
-    profile:
-        Constant-resolution profile or its name.
+        tracing on the event tier (:class:`RunConfig`'s ``trace``).
     telemetry:
         Optional :class:`repro.obs.telemetry.Telemetry` collector.  When
         given, the run records wall-clock phase spans, a per-round probe
@@ -209,75 +320,42 @@ def broadcast(
         a run handle on the collector; export with
         :meth:`~repro.obs.telemetry.Telemetry.write`.  ``None`` (default)
         leaves the engine on the untouched zero-overhead path.
-    check_model:
-        Enable the engine's one-initiation-per-round validation.
-    algorithm_kwargs:
-        Extra knobs forwarded to the algorithm (its
-        :class:`~repro.registry.AlgorithmSpec` lists the accepted names,
-        e.g. ``delta=64`` for ``cluster3``).
     """
-    spec = get_algorithm(algorithm)
-    _check_task(spec, task)
-    topology = resolve_topology(topology)
-    _check_topology(spec, topology, direct_addressing)
-    if isinstance(profile, str):
-        profile = get_profile(profile)
-    if source is not None and not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for n={n}")
+    cfg = RunConfig.build(n, algorithm, trace=trace is True, **config)
+    legacy = None if isinstance(trace, bool) else trace
+    return run_config(cfg, seed, trace=legacy, telemetry=telemetry)
 
+
+def run_config(
+    cfg: RunConfig,
+    seed: int = 0,
+    *,
+    trace: Optional[Trace] = None,
+    telemetry: "Optional[Telemetry]" = None,
+) -> AlgorithmReport:
+    """Execute ``cfg`` once at ``seed`` on a freshly built network."""
     net = Network(
-        n,
+        cfg.n,
         rng=derive_seed(seed, "net"),
-        rumor_bits=message_bits,
-        topology=topology,
-        direct_addressing=direct_addressing,
+        rumor_bits=cfg.message_bits,
+        topology=cfg.topology,
+        direct_addressing=cfg.direct_addressing,
     )
-    return _run_on_network(
-        net,
-        spec,
-        seed,
-        source=source,
-        failures=failures,
-        failure_pattern=failure_pattern,
-        schedule=resolve_schedule(schedule),
-        task=task,
-        task_kwargs=task_kwargs,
-        scheduler=resolve_scheduler(scheduler),
-        profile=profile,
-        trace=trace,
-        telemetry=telemetry,
-        check_model=check_model,
-        pool=None,
-        algorithm_kwargs=algorithm_kwargs,
-    )
+    return _run_on_network(net, cfg, seed, pool=None, trace=trace, telemetry=telemetry)
 
 
 def _run_on_network(
     net: Network,
-    spec: AlgorithmSpec,
+    cfg: RunConfig,
     seed: int,
     *,
-    source: Optional[int],
-    failures: float,
-    failure_pattern: str,
-    schedule: Optional[AdversitySchedule],
-    profile: Profile,
-    trace: Optional[Trace],
-    check_model: bool,
     pool: Optional["BufferPool"],
-    algorithm_kwargs: dict,
-    task: str = BROADCAST_TASK,
-    task_kwargs: Optional[Dict[str, Any]] = None,
-    scheduler: Optional[EventSchedulerSpec] = None,
-    telemetry: "Optional[Telemetry]" = None,
+    trace: Optional[Trace],
+    telemetry: "Optional[Telemetry]",
 ) -> AlgorithmReport:
-    """Execute one seeded broadcast on an already-built network.
+    """Execute one seeded run of ``cfg`` on an already-built network.
 
-    ``trace=True`` is the contact-tracing shorthand: the scheduler is
-    upgraded to a tracing event tier (created when none was requested),
-    and the legacy round-event ``trace`` stays off.
-
-    The single execution path behind both :func:`broadcast` (fresh
+    The single execution path behind both :func:`run_config` (fresh
     network, no pool) and :class:`ReplicationEngine` (reset network,
     shared pool): every seed-derived stream is identical in both shapes,
     which is what makes reset-engine replications bit-identical to
@@ -286,38 +364,31 @@ def _run_on_network(
     legacy streams are untouched, so the default task stays bit-identical
     to the pre-task-layer engine.
     """
-    if trace is True:
-        trace = None
-        scheduler = (
-            EventSchedulerSpec(trace=True)
-            if scheduler is None
-            else _dc_replace(scheduler, trace=True)
-        )
-    elif trace is False:
-        trace = None
-    if failures:
-        apply_pattern(net, failure_pattern, failures, derive_seed(seed, "fail"))
+    spec = cfg.spec
+    if cfg.failures:
+        apply_pattern(net, cfg.failure_pattern, cfg.failures, derive_seed(seed, "fail"))
+    source = cfg.source
     if source is None:
         alive = net.alive_indices()
         source = int(alive[make_rng(derive_seed(seed, "source")).integers(len(alive))])
     dynamics = (
-        schedule.bind(net, make_rng(derive_seed(seed, "dynamics")))
-        if schedule is not None
+        cfg.schedule.bind(net, make_rng(derive_seed(seed, "dynamics")))
+        if cfg.schedule is not None
         else None
     )
     # The event tier binds from the dedicated "delay" stream: straggler
     # sets, per-edge weights and per-message jitter never consume
     # algorithm coins, so event runs stay bit-identical to round runs.
     sched = (
-        scheduler.bind(net, make_rng(derive_seed(seed, "delay")))
-        if scheduler is not None
+        cfg.scheduler.bind(net, make_rng(derive_seed(seed, "delay")))
+        if cfg.scheduler is not None
         else None
     )
     sim = Simulator(
         net,
         make_rng(derive_seed(seed, "algo")),
         Metrics(net.n),
-        check_model=check_model,
+        check_model=cfg.check_model,
         dynamics=dynamics,
         pool=pool,
         scheduler=sched,
@@ -328,7 +399,7 @@ def _run_on_network(
             {
                 "kind": "sequential",
                 "algorithm": spec.name,
-                "task": task,
+                "task": cfg.task,
                 "n": net.n,
                 "seed": seed,
                 "source": int(source),
@@ -344,17 +415,17 @@ def _run_on_network(
         sim.metrics.span_recorder = tel_run.spans
         sim.add_commit_hook(tel_run.on_round)
         tel_run.sample(sim)  # round-0 baseline
-    if task == BROADCAST_TASK:
-        report = spec.run(sim, source, profile, trace, **algorithm_kwargs)
+    if cfg.task == BROADCAST_TASK:
+        report = spec.run(sim, source, cfg.profile, trace, **cfg.algorithm_kwargs)
     else:
-        state = get_task(task).build(
+        state = get_task(cfg.task).build(
             net,
             make_rng(derive_seed(seed, "task")),
             message_bits=net.sizes.rumor_bits,
             source=source,
-            **(task_kwargs or {}),
+            **cfg.task_kwargs,
         )
-        report = spec.run_task(sim, state, profile, trace, **algorithm_kwargs)
+        report = spec.run_task(sim, state, cfg.profile, trace, **cfg.algorithm_kwargs)
     # Causal-trace extras must land before finish_run so the telemetry
     # collector can serialise them into the schema v2 trace/path records.
     if (
@@ -372,7 +443,7 @@ def _run_on_network(
     if tel_run is not None:
         telemetry.finish_run(tel_run, sim=sim, report=report)
     report.extras.setdefault("seed", seed)
-    report.extras.setdefault("failures", failures)
+    report.extras.setdefault("failures", cfg.failures)
     report.extras.setdefault("source", int(source))
     # Whether the initial rumor holder survived the run: under a dynamics
     # timeline it may crash mid-broadcast, and an execution whose only
@@ -385,7 +456,7 @@ def _run_on_network(
         report.extras.setdefault("scheduler", sched.describe())
         report.extras.setdefault("sim_time", float(sched.sim_time))
     if dynamics is not None:
-        report.extras.setdefault("schedule", schedule.describe())
+        report.extras.setdefault("schedule", cfg.schedule.describe())
         for key, value in dynamics.summary().items():
             report.extras.setdefault(key, value)
     return report
@@ -398,57 +469,19 @@ class ReplicationEngine:
     seed, reusing its O(n) allocations) and one
     :class:`~repro.sim.engine.BufferPool` (reused across rounds *and*
     replications), so a replication suite stops paying network
-    construction and per-round scratch allocation for every seed.  The
-    memory-lean ``index_dtype="auto"`` mode is the default here — index
-    arrays narrow to int32 below ``n = 2**31`` — and every seed's report
-    is **bit-identical** to an independent ``broadcast(seed=...)`` call
-    (pinned by the fingerprint corpus in ``tests/test_fingerprints.py``):
-    random draws are dtype-invariant and pooling only moves intermediates.
+    construction and per-round scratch allocation for every seed.  Index
+    arrays narrow to int32 below ``n = 2**31`` (``index_dtype="auto"``),
+    and every seed's report is **bit-identical** to an independent
+    ``broadcast(seed=...)`` call (pinned by the fingerprint corpus in
+    ``tests/test_fingerprints.py``): random draws are dtype-invariant and
+    pooling only moves intermediates.
 
-    >>> eng = ReplicationEngine(4096, "cluster2")
+    >>> eng = ReplicationEngine(RunConfig(4096, "cluster2"))
     >>> reports = [eng.run(seed) for seed in range(100)]   # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        n: int,
-        algorithm: str = "cluster2",
-        *,
-        source: Optional[int] = 0,
-        message_bits: int = 256,
-        failures: float = 0,
-        failure_pattern: str = "random",
-        schedule: "AdversitySchedule | str | None" = None,
-        task: str = BROADCAST_TASK,
-        task_kwargs: Optional[Dict[str, Any]] = None,
-        topology: "Topology | str | None" = None,
-        direct_addressing: str = "global",
-        scheduler: "EventSchedulerSpec | str | None" = None,
-        profile: "Profile | str" = LAPTOP,
-        check_model: bool = True,
-        index_dtype: "str | None" = "auto",
-        **algorithm_kwargs: Any,
-    ) -> None:
-        self.n = int(n)
-        self.spec = get_algorithm(algorithm)
-        _check_task(self.spec, task)
-        self.topology = resolve_topology(topology)
-        self.direct_addressing = direct_addressing
-        _check_topology(self.spec, self.topology, direct_addressing)
-        self.source = source
-        self.message_bits = message_bits
-        self.failures = failures
-        self.failure_pattern = failure_pattern
-        self.schedule = resolve_schedule(schedule)
-        self.scheduler = resolve_scheduler(scheduler)
-        self.task = task
-        self.task_kwargs = dict(task_kwargs or {})
-        self.profile = get_profile(profile) if isinstance(profile, str) else profile
-        self.check_model = check_model
-        self.index_dtype = index_dtype
-        self.algorithm_kwargs = dict(algorithm_kwargs)
-        if source is not None and not 0 <= source < n:
-            raise ValueError(f"source {source} out of range for n={n}")
+    def __init__(self, cfg: RunConfig) -> None:
+        self.cfg = cfg
         self._net: Optional[Network] = None
         self._pool = BufferPool()
 
@@ -460,44 +493,137 @@ class ReplicationEngine:
     def run(
         self,
         seed: int,
-        trace: "Trace | bool | None" = None,
+        trace: Optional[Trace] = None,
         telemetry: "Optional[Telemetry]" = None,
     ) -> AlgorithmReport:
         """Execute one replication, bit-identical to ``broadcast(seed=seed)``."""
         net_seed = derive_seed(seed, "net")
         if self._net is None:
+            cfg = self.cfg
             self._net = Network(
-                self.n,
+                cfg.n,
                 rng=net_seed,
-                rumor_bits=self.message_bits,
-                index_dtype=self.index_dtype,
-                topology=self.topology,
-                direct_addressing=self.direct_addressing,
+                rumor_bits=cfg.message_bits,
+                index_dtype="auto",
+                topology=cfg.topology,
+                direct_addressing=cfg.direct_addressing,
             )
         else:
             self._net.reset(net_seed)
         return _run_on_network(
             self._net,
-            self.spec,
+            self.cfg,
             seed,
-            source=self.source,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=self.task_kwargs,
-            scheduler=self.scheduler,
-            profile=self.profile,
+            pool=self._pool,
             trace=trace,
             telemetry=telemetry,
-            check_model=self.check_model,
-            pool=self._pool,
-            algorithm_kwargs=self.algorithm_kwargs,
         )
 
 
-#: Replication execution engines, least to most specialised.
-REPLICATION_ENGINES = ("auto", "vector", "reset", "rebuild")
+#: Replication execution engines; ``auto`` resolves to one of the others.
+REPLICATION_ENGINES = ("auto", "vector", "reset")
+
+
+@dataclass(frozen=True)
+class EnginePlan:
+    """How a replication suite of one :class:`RunConfig` will execute.
+
+    ``engine`` is the resolved executor (``"vector"`` or ``"reset"``);
+    ``batch_runner`` the vector engine's registered runner (None on the
+    reset engine); ``elements_per_node`` the runner's per-node work
+    weight, which bounds the chunk plan (k-rumor arrays are
+    ``(R, n, k)``-shaped); ``fallback_reason`` says why ``engine="auto"``
+    left the vector engine for an event-tier configuration.
+    """
+
+    engine: str
+    batch_runner: Optional[Callable[..., Any]] = None
+    elements_per_node: int = 1
+    fallback_reason: Optional[str] = None
+
+
+def _scheduler_reason(cfg: RunConfig, batch_runner) -> Optional[str]:
+    """Why the event tier of ``cfg`` cannot ride the vector engine, or
+    None.  It can when the runner folds its contacts into the batched
+    clock overlay (:class:`repro.sim.schedule.BatchClockOverlay`) and the
+    delay model has a batched sampler; tracing stays sequential."""
+    if cfg.scheduler is None:
+        return None
+    if not getattr(batch_runner, "supports_overlay", False):
+        return (
+            f"the batch runner for {cfg.algorithm!r} (task {cfg.task!r}) does "
+            "not fold contacts into the batched clock overlay"
+        )
+    if cfg.scheduler.trace:
+        return "contact tracing needs the sequential event scheduler"
+    delay_model = cfg.scheduler.resolve_delay(cfg.topology)
+    if not getattr(delay_model, "batchable", False):
+        return (
+            f"delay model {delay_model.name!r} has no batched "
+            "sampler (DelayModel.bind_batch)"
+        )
+    return None
+
+
+def plan(cfg: RunConfig, engine: str = "auto") -> EnginePlan:
+    """Choose the replication engine for ``cfg``.
+
+    Pure: it reads the registry and the resolved config and never runs
+    a simulation.  ``"vector"`` (the batched ``(R, n)`` executor) needs
+    a batch runner registered for the task, no adversity and no
+    failures, ``n >= 2``, and the complete graph or a topology-capable
+    runner under global addressing; ``engine="vector"`` raises
+    ``ValueError`` otherwise, ``engine="auto"`` falls back to
+    ``"reset"``.
+    """
+    if engine not in REPLICATION_ENGINES:
+        raise ValueError(
+            f"unknown replication engine {engine!r}; choose from {REPLICATION_ENGINES}"
+        )
+    if engine == "reset":
+        return EnginePlan("reset")
+    batch_runner = cfg.spec.batch_runner_for(cfg.task)
+    # Restricted topologies ride the vector engine when the runner
+    # advertises batched neighbor sampling (global direct addressing
+    # only — the batched relays deliver without a reachability check).
+    topology_ok = cfg.topology.complete or (
+        getattr(batch_runner, "supports_topology", False)
+        and cfg.direct_addressing == "global"
+    )
+    scheduler_reason = _scheduler_reason(cfg, batch_runner)
+    # The (R, n) executors assume at least one other node to dial;
+    # single-node runs fall back to the sequential reset engine.
+    if (
+        batch_runner is not None
+        and cfg.schedule is None
+        and scheduler_reason is None
+        and not cfg.failures
+        and cfg.n > 1
+        and topology_ok
+    ):
+        weigh = getattr(batch_runner, "elements_per_node", None)
+        weight = weigh(dict(cfg.task_kwargs)) if weigh else 1
+        return EnginePlan("vector", batch_runner, weight)
+    if engine == "vector":
+        if scheduler_reason is not None:
+            raise ValueError(
+                f"vector engine unavailable with scheduler=event: "
+                f"{scheduler_reason}; run it on the sequential tier with "
+                "engine='reset'"
+            )
+        raise ValueError(
+            f"vector engine unavailable for {cfg.algorithm!r} (task {cfg.task!r}) "
+            "here: it needs a registered batch runner for the task and a "
+            "zero-adversity, zero-failure configuration with n >= 2 on "
+            "the complete graph (or a topology-capable runner under "
+            "global addressing)"
+        )
+    if scheduler_reason is not None:
+        _log.info(
+            "engine=auto: falling back to the sequential reset engine (%s)",
+            scheduler_reason,
+        )
+    return EnginePlan("reset", fallback_reason=scheduler_reason)
 
 
 def run_replications(
@@ -507,27 +633,45 @@ def run_replications(
     *,
     base_seed: int = 0,
     engine: str = "auto",
-    source: Optional[int] = 0,
-    message_bits: int = 256,
-    failures: float = 0,
-    failure_pattern: str = "random",
-    schedule: "AdversitySchedule | str | None" = None,
-    task: str = BROADCAST_TASK,
-    task_kwargs: Optional[Dict[str, Any]] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    profile: "Profile | str" = LAPTOP,
-    check_model: bool = True,
-    consume: Optional[Callable[[dict], None]] = None,
     batch_elems: int = DEFAULT_BATCH_ELEMS,
     workers: Optional[int] = None,
     telemetry: "Optional[Telemetry]" = None,
     trace: bool = False,
-    _seed_offset: int = 0,
-    **algorithm_kwargs: Any,
+    consume: Optional[Callable[[dict], None]] = None,
+    **config: Any,
 ) -> ReplicationSummary:
     """Fan one configuration across ``reps`` seeds, aggregating as a stream.
+
+    ``config`` holds the run knobs (every :class:`RunConfig` field) and
+    any extra algorithm knobs, exactly as for :func:`broadcast`;
+    ``trace=True`` is :class:`RunConfig`'s contact-tracing switch.  The
+    rest is :func:`replicate_config`'s.
+    """
+    cfg = RunConfig.build(n, algorithm, trace=trace, **config)
+    return replicate_config(
+        cfg,
+        reps,
+        base_seed=base_seed,
+        engine=engine,
+        batch_elems=batch_elems,
+        workers=workers,
+        telemetry=telemetry,
+        consume=consume,
+    )
+
+
+def replicate_config(
+    cfg: RunConfig,
+    reps: int = 1,
+    *,
+    base_seed: int = 0,
+    engine: str = "auto",
+    batch_elems: int = DEFAULT_BATCH_ELEMS,
+    workers: Optional[int] = None,
+    telemetry: "Optional[Telemetry]" = None,
+    consume: Optional[Callable[[dict], None]] = None,
+) -> ReplicationSummary:
+    """Run ``cfg`` for ``reps`` seeds, aggregating as a stream.
 
     Each replication is reduced to its headline scalars the moment it
     finishes and folded into a
@@ -550,26 +694,22 @@ def run_replications(
         algorithms that registered a batch runner *for the requested
         task* (push-pull has one for ``"broadcast"`` and ``"push-sum"``);
         zero-adversity only.  Statistically equivalent to (not
-        stream-identical with) the sequential engines; chunked so no
+        stream-identical with) the sequential engine; chunked so no
         work array exceeds ``batch_elems`` elements regardless of
-        ``reps``.  ``scheduler=`` rides along through the batched clock
+        ``reps``.  The event tier rides along through the batched clock
         overlay (:class:`repro.sim.schedule.BatchClockOverlay`) when the
         runner folds contacts and the delay model has a batched sampler
-        — the summary then carries per-rep ``sim_time`` streams;
-        tracing, event recording, and unbatchable delay models fall back
-        to the sequential tier (``engine="auto"``) or raise
-        (``engine="vector"``).
-    ``"rebuild"``
-        The historical loop — a fresh :func:`broadcast` per seed.  Kept
-        as the baseline the scale benchmarks measure against.
+        — the summary then carries per-rep ``sim_time`` streams.
     ``"auto"``
-        ``vector`` when eligible, else ``reset``.
+        ``vector`` when eligible, else ``reset``; :func:`plan` decides,
+        and an event-tier fallback is recorded in
+        ``summary.extras["engine_fallback"]``.
 
     Sharding
     --------
     ``workers`` switches on sharded execution: the replications are cut
     into contiguous ``(R_shard, n)`` blocks — the vector engine's own
-    chunk plan, or up to 16 balanced blocks for the sequential engines —
+    chunk plan, or up to 16 balanced blocks for the sequential engine —
     each shard streams its own summary (in a ``ProcessPoolExecutor``
     when ``workers > 1``), and the shard summaries merge in shard order
     via :meth:`~repro.analysis.stats.ReplicationSummary.merge`.  The
@@ -577,9 +717,7 @@ def run_replications(
     on the worker count, so ``workers=1`` and ``workers=8`` produce
     identical summaries (exact mean/variance/extremes combine; quantile
     buffers merge approximately).  ``consume`` streaming is unavailable
-    when sharding.  ``_seed_offset`` is internal plumbing: it keeps a
-    vector shard's per-chunk seed derivation aligned with the serial
-    chunk sequence.
+    when sharding.
 
     Telemetry
     ---------
@@ -590,108 +728,23 @@ def run_replications(
     runs give each shard a fresh collector and merge them back in shard
     order, so the exported run ids are worker-count independent.
 
-    ``trace=True`` turns on contact-level causal tracing (upgrading the
-    scheduler to the event tier when none was requested): every
-    replication extracts its critical path, and the summary gains
-    ``critical_path_len`` / ``dilation`` streams.
+    A traced ``cfg`` extracts every replication's critical path, and the
+    summary gains ``critical_path_len`` / ``dilation`` streams.
     """
-    # Imported here, not at module top: repro.analysis.runner imports this
-    # module, so a top-level import of repro.analysis would be circular.
-    from repro.analysis.stats import ReplicationSummary
-
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
-    if engine not in REPLICATION_ENGINES:
-        raise ValueError(
-            f"unknown replication engine {engine!r}; choose from {REPLICATION_ENGINES}"
+    chosen = plan(cfg, engine)
+    if workers is None:
+        summary = _replicate(
+            cfg,
+            chosen,
+            reps,
+            base_seed=base_seed,
+            batch_elems=batch_elems,
+            telemetry=telemetry,
+            consume=consume,
         )
-    spec = get_algorithm(algorithm)
-    _check_task(spec, task)
-    resolved_topology = resolve_topology(topology)
-    _check_topology(spec, resolved_topology, direct_addressing)
-    if task != BROADCAST_TASK:
-        # Uniform knob validation across engines: the vector path calls a
-        # batch runner directly (never TaskSpec.build), so validate here.
-        get_task(task).validate_kwargs(task_kwargs)
-    resolved = resolve_schedule(schedule)
-    resolved_scheduler = resolve_scheduler(scheduler)
-    if trace:
-        # Contact tracing implies the event tier; a traced configuration
-        # is therefore never vector-eligible (the check below sees a
-        # non-None scheduler), and every replication extracts its own
-        # critical path into the summary's per-rep streams.
-        resolved_scheduler = (
-            EventSchedulerSpec(trace=True)
-            if resolved_scheduler is None
-            else _dc_replace(resolved_scheduler, trace=True)
-        )
-    batch_runner = spec.batch_runner_for(task)
-    # Restricted topologies ride the vector engine when the runner
-    # advertises batched neighbor sampling (global direct addressing
-    # only — the batched relays deliver without a reachability check).
-    topology_ok = resolved_topology.complete or (
-        getattr(batch_runner, "supports_topology", False)
-        and direct_addressing == "global"
-    )
-    # The event tier rides the vector engine through the batched clock
-    # overlay (:class:`repro.sim.schedule.BatchClockOverlay`) when the
-    # runner folds its contacts and the delay model has a batched
-    # sampler; tracing and event recording stay sequential.
-    scheduler_reason = None
-    if resolved_scheduler is not None:
-        if not getattr(batch_runner, "supports_overlay", False):
-            scheduler_reason = (
-                f"the batch runner for {algorithm!r} (task {task!r}) does "
-                "not fold contacts into the batched clock overlay"
-            )
-        elif resolved_scheduler.trace or resolved_scheduler.record_events:
-            scheduler_reason = (
-                "contact tracing / event recording needs the sequential "
-                "event scheduler"
-            )
-        else:
-            delay_model = resolved_scheduler.resolve_delay(resolved_topology)
-            if not getattr(delay_model, "batchable", False):
-                scheduler_reason = (
-                    f"delay model {delay_model.name!r} has no batched "
-                    "sampler (DelayModel.bind_batch)"
-                )
-    # The (R, n) executors assume at least one other node to dial;
-    # single-node runs fall back to the sequential reset engine.
-    vector_ok = (
-        batch_runner is not None
-        and resolved is None
-        and scheduler_reason is None
-        and not failures
-        and n > 1
-        and topology_ok
-    )
-    if engine == "vector" and not vector_ok:
-        if resolved_scheduler is not None and scheduler_reason is not None:
-            raise ValueError(
-                f"vector engine unavailable with scheduler=event: "
-                f"{scheduler_reason}; run it on the sequential tier with "
-                "engine='reset'"
-            )
-        raise ValueError(
-            f"vector engine unavailable for {algorithm!r} (task {task!r}) "
-            "here: it needs a registered batch runner for the task and a "
-            "zero-adversity, zero-failure configuration with n >= 2 on "
-            "the complete graph (or a topology-capable runner under "
-            "global addressing)"
-        )
-    fallback_reason = None
-    if engine == "auto":
-        if not vector_ok and resolved_scheduler is not None and scheduler_reason:
-            fallback_reason = scheduler_reason
-            _log.info(
-                "engine=auto: falling back to the sequential reset engine "
-                "(%s)",
-                scheduler_reason,
-            )
-        engine = "vector" if vector_ok else "reset"
-
-    if workers is not None:
+    else:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if consume is not None:
@@ -699,170 +752,132 @@ def run_replications(
                 "workers= shards the replications across summaries; "
                 "per-replication consume streaming is only available serially"
             )
-        merged = _run_sharded(
-            n=n,
-            algorithm=algorithm,
-            reps=reps,
+        summary = _run_sharded(
+            cfg,
+            chosen,
+            reps,
             base_seed=base_seed,
-            engine=engine,
-            source=source,
-            message_bits=message_bits,
-            failures=failures,
-            failure_pattern=failure_pattern,
-            schedule=schedule,
-            task=task,
-            task_kwargs=task_kwargs,
-            topology=topology,
-            direct_addressing=direct_addressing,
-            scheduler=resolved_scheduler,
-            profile=profile,
-            check_model=check_model,
             batch_elems=batch_elems,
-            batch_runner=batch_runner,
             workers=workers,
             telemetry=telemetry,
-            algorithm_kwargs=algorithm_kwargs,
         )
-        if fallback_reason is not None:
-            merged.extras["engine_fallback"] = fallback_reason
-        return merged
+    if chosen.fallback_reason is not None:
+        summary.extras["engine_fallback"] = chosen.fallback_reason
+    return summary
 
-    summary = ReplicationSummary(algorithm=algorithm, n=n, engine=engine, task=task)
-    if fallback_reason is not None:
-        summary.extras["engine_fallback"] = fallback_reason
+
+def _replicate(
+    cfg: RunConfig,
+    chosen: EnginePlan,
+    reps: int,
+    *,
+    base_seed: int,
+    batch_elems: int,
+    telemetry: "Optional[Telemetry]",
+    consume: Optional[Callable[[dict], None]] = None,
+    seed_offset: int = 0,
+) -> "ReplicationSummary":
+    """One serial replication stream on the planned engine.
+
+    ``seed_offset`` keeps a vector shard's per-chunk seed derivation
+    aligned with the serial chunk sequence.
+    """
+    # Imported here, not at module top: repro.analysis.runner imports this
+    # module, so a top-level import of repro.analysis would be circular.
+    from repro.analysis.stats import ReplicationSummary
+
+    summary = ReplicationSummary(
+        algorithm=cfg.algorithm, n=cfg.n, engine=chosen.engine, task=cfg.task
+    )
 
     def feed(rep: int, seed: Optional[int], scalars: dict) -> None:
         summary.observe(**scalars)
         if consume is not None:
             consume({"rep": rep, "seed": seed, **scalars})
 
-    if engine == "vector":
-        # Batch runners whose work arrays are (R, n, w)-shaped (k-rumor:
-        # w = k) declare the per-node weight so the element budget bounds
-        # the true footprint, not just R * n.
-        weigh = getattr(batch_runner, "elements_per_node", None)
-        weight = weigh(dict(task_kwargs or {})) if weigh else 1
-        runner_kwargs = {**(task_kwargs or {}), **algorithm_kwargs}
-        if getattr(batch_runner, "uses_profile", False):
-            resolved_profile = (
-                get_profile(profile) if isinstance(profile, str) else profile
-            )
-            runner_kwargs.setdefault("profile", resolved_profile)
-        graph = None
-        if not resolved_topology.complete and resolved_topology.deterministic:
-            # Deterministic graphs are identical across replications and
-            # chunks; bind once (the rng is required but unconsumed).
-            graph = resolved_topology.bind(n, make_rng(derive_seed(base_seed, "net")))
-        done = 0
-        while done < reps:
-            take = batch_size(n, reps - done, batch_elems, elements_per_node=weight)
-            rng = make_rng(derive_seed(base_seed, "vector", _seed_offset + done))
-            if not resolved_topology.complete and not resolved_topology.deterministic:
-                # Random graphs resample per chunk: replications within a
-                # chunk share one instance (documented approximation of
-                # the sequential engines' per-seed graphs).
-                graph = resolved_topology.bind(
-                    n, make_rng(derive_seed(base_seed, "vector-topo", _seed_offset + done))
-                )
-            chunk_kwargs = dict(runner_kwargs)
-            if graph is not None:
-                chunk_kwargs["graph"] = graph
-            if resolved_scheduler is not None:
-                # One overlay per chunk: rep i's delay stream is derived
-                # from base_seed + (global rep index) exactly as the
-                # sequential bind's, so the chunk plan (and the worker
-                # count) never moves a replication's draws.
-                chunk_kwargs["overlay"] = make_batch_overlay(
-                    resolved_scheduler,
-                    resolved_topology,
-                    n,
-                    take,
-                    graph,
-                    base_seed=base_seed,
-                    first_rep=_seed_offset + done,
-                )
-            tel_run = None
-            if telemetry is not None:
-                tel_run = telemetry.begin_run(
-                    {
-                        "kind": "vector",
-                        "algorithm": algorithm,
-                        "task": task,
-                        "n": n,
-                        "reps": take,
-                        "first_rep": _seed_offset + done,
-                        "base_seed": base_seed,
-                        "message_bits": message_bits,
-                    }
-                )
-                if getattr(batch_runner, "supports_telemetry", False):
-                    chunk_kwargs["telemetry"] = tel_run
-            with maybe_span(tel_run, "chunk"):
-                outcome = batch_runner(
-                    n,
-                    take,
-                    rng,
-                    message_bits=message_bits,
-                    source=source,
-                    **chunk_kwargs,
-                )
-            if tel_run is not None:
-                telemetry.finish_run(tel_run, outcome=outcome)
-            for i in range(outcome.reps):
-                feed(done + i, None, outcome.rep_scalars(i))
-            done += take
+    if chosen.engine == "reset":
+        replication = ReplicationEngine(cfg)
+        for rep in range(reps):
+            seed = base_seed + rep
+            report = replication.run(seed, telemetry=telemetry)
+            feed(rep, seed, report_scalars(report))
         return summary
 
-    if engine == "reset":
-        replication = ReplicationEngine(
-            n,
-            algorithm,
-            source=source,
-            message_bits=message_bits,
-            failures=failures,
-            failure_pattern=failure_pattern,
-            schedule=resolved,
-            task=task,
-            task_kwargs=task_kwargs,
-            topology=resolved_topology,
-            direct_addressing=direct_addressing,
-            scheduler=resolved_scheduler,
-            profile=profile,
-            check_model=check_model,
-            **algorithm_kwargs,
-        )
-
-        def run_one(seed: int) -> AlgorithmReport:
-            return replication.run(seed, telemetry=telemetry)
-
-    else:  # rebuild — the legacy loop
-
-        def run_one(seed: int) -> AlgorithmReport:
-            return broadcast(
-                n,
-                algorithm,
-                seed=seed,
-                source=source,
-                message_bits=message_bits,
-                failures=failures,
-                failure_pattern=failure_pattern,
-                schedule=resolved,
-                task=task,
-                task_kwargs=task_kwargs,
-                topology=resolved_topology,
-                direct_addressing=direct_addressing,
-                scheduler=resolved_scheduler,
-                profile=profile,
-                telemetry=telemetry,
-                check_model=check_model,
-                **algorithm_kwargs,
+    n, topology, batch_runner = cfg.n, cfg.topology, chosen.batch_runner
+    runner_kwargs = {**cfg.task_kwargs, **cfg.algorithm_kwargs}
+    if getattr(batch_runner, "uses_profile", False):
+        runner_kwargs.setdefault("profile", cfg.profile)
+    graph = None
+    if not topology.complete and topology.deterministic:
+        # Deterministic graphs are identical across replications and
+        # chunks; bind once (the rng is required but unconsumed).
+        graph = topology.bind(n, make_rng(derive_seed(base_seed, "net")))
+    for done, take in _chunks(n, reps, batch_elems, chosen.elements_per_node):
+        first_rep = seed_offset + done
+        rng = make_rng(derive_seed(base_seed, "vector", first_rep))
+        if not topology.complete and not topology.deterministic:
+            # Random graphs resample per chunk: replications within a
+            # chunk share one instance (documented approximation of
+            # the sequential engine's per-seed graphs).
+            graph = topology.bind(
+                n, make_rng(derive_seed(base_seed, "vector-topo", first_rep))
             )
-
-    for rep in range(reps):
-        seed = base_seed + rep
-        report = run_one(seed)
-        feed(rep, seed, report_scalars(report))
+        chunk_kwargs = dict(runner_kwargs)
+        if graph is not None:
+            chunk_kwargs["graph"] = graph
+        if cfg.scheduler is not None:
+            # One overlay per chunk: rep i's delay stream is derived
+            # from base_seed + (global rep index) exactly as the
+            # sequential bind's, so the chunk plan (and the worker
+            # count) never moves a replication's draws.
+            chunk_kwargs["overlay"] = make_batch_overlay(
+                cfg.scheduler,
+                topology,
+                n,
+                take,
+                graph,
+                base_seed=base_seed,
+                first_rep=first_rep,
+            )
+        tel_run = None
+        if telemetry is not None:
+            tel_run = telemetry.begin_run(
+                {
+                    "kind": "vector",
+                    "algorithm": cfg.algorithm,
+                    "task": cfg.task,
+                    "n": n,
+                    "reps": take,
+                    "first_rep": first_rep,
+                    "base_seed": base_seed,
+                    "message_bits": cfg.message_bits,
+                }
+            )
+            if getattr(batch_runner, "supports_telemetry", False):
+                chunk_kwargs["telemetry"] = tel_run
+        with maybe_span(tel_run, "chunk"):
+            outcome = batch_runner(
+                n,
+                take,
+                rng,
+                message_bits=cfg.message_bits,
+                source=cfg.source,
+                **chunk_kwargs,
+            )
+        if tel_run is not None:
+            telemetry.finish_run(tel_run, outcome=outcome)
+        for i in range(outcome.reps):
+            feed(done + i, None, outcome.rep_scalars(i))
     return summary
+
+
+def _chunks(n: int, reps: int, batch_elems: int, elements_per_node: int):
+    """The vector engine's contiguous ``(start, count)`` chunk sequence."""
+    done = 0
+    while done < reps:
+        take = batch_size(n, reps - done, batch_elems, elements_per_node)
+        yield done, take
+        done += take
 
 
 #: Sequential-engine shard count cap: enough blocks to feed any sane
@@ -870,13 +885,15 @@ def run_replications(
 MAX_SEQUENTIAL_SHARDS = 16
 
 
-def _replication_shard(payload: dict):
+def _replication_shard(payload: tuple):
     """Process-pool entry point: one shard of a sharded run (top-level so
-    it pickles).  Returns ``(summary, shard_telemetry_or_None)`` — the
-    shard's collector mutates in the worker process, so it must travel
-    back with the summary."""
-    summary = run_replications(**payload)
-    return summary, payload.get("telemetry")
+    it pickles).  The payload is ``(cfg, engine, shard kwargs)``; the
+    engine is re-planned in the worker so no runner callable travels.
+    Returns ``(summary, shard_telemetry_or_None)`` — the shard's
+    collector mutates in the worker process, so it must travel back
+    with the summary."""
+    cfg, engine, kwargs = payload
+    return _replicate(cfg, plan(cfg, engine), **kwargs), kwargs["telemetry"]
 
 
 def _shard_plan(
@@ -894,13 +911,7 @@ def _shard_plan(
     value yields the same shard summaries in the same merge order.
     """
     if engine == "vector":
-        plan = []
-        done = 0
-        while done < reps:
-            take = batch_size(n, reps - done, batch_elems, elements_per_node)
-            plan.append((done, take))
-            done += take
-        return plan
+        return list(_chunks(n, reps, batch_elems, elements_per_node))
     shards = min(reps, MAX_SEQUENTIAL_SHARDS)
     sizes = [reps // shards + (1 if i < reps % shards else 0) for i in range(shards)]
     starts = [sum(sizes[:i]) for i in range(shards)]
@@ -908,73 +919,39 @@ def _shard_plan(
 
 
 def _run_sharded(
-    *,
-    n: int,
-    algorithm: str,
+    cfg: RunConfig,
+    chosen: EnginePlan,
     reps: int,
+    *,
     base_seed: int,
-    engine: str,
-    source: Optional[int],
-    message_bits: int,
-    failures: float,
-    failure_pattern: str,
-    schedule: "AdversitySchedule | str | None",
-    task: str,
-    task_kwargs: Optional[Dict[str, Any]],
-    topology: "Topology | str | None",
-    direct_addressing: str,
-    scheduler: "EventSchedulerSpec | None",
-    profile: "Profile | str",
-    check_model: bool,
     batch_elems: int,
-    batch_runner: Optional[Callable],
     workers: int,
     telemetry: "Optional[Telemetry]",
-    algorithm_kwargs: Dict[str, Any],
 ) -> "ReplicationSummary":
-    """Split ``reps`` into shard blocks, run each as its own (serial)
-    ``run_replications``, merge the shard summaries (and shard telemetry
-    collectors) in shard order."""
+    """Split ``reps`` into shard blocks, run each as its own serial
+    stream, merge the shard summaries (and shard telemetry collectors)
+    in shard order."""
     from repro.analysis.stats import ReplicationSummary
 
-    weigh = getattr(batch_runner, "elements_per_node", None)
-    weight = weigh(dict(task_kwargs or {})) if weigh else 1
-    common = dict(
-        n=n,
-        algorithm=algorithm,
-        engine=engine,
-        source=source,
-        message_bits=message_bits,
-        failures=failures,
-        failure_pattern=failure_pattern,
-        schedule=schedule,
-        task=task,
-        task_kwargs=task_kwargs,
-        topology=topology,
-        direct_addressing=direct_addressing,
-        scheduler=scheduler,
-        profile=profile,
-        check_model=check_model,
-        batch_elems=batch_elems,
-        workers=None,
-        **algorithm_kwargs,
-    )
     payloads = []
-    for start, count in _shard_plan(engine, n, reps, batch_elems, weight):
-        payload = dict(common, reps=count)
-        if engine == "vector":
+    for start, count in _shard_plan(
+        chosen.engine, cfg.n, reps, batch_elems, chosen.elements_per_node
+    ):
+        if chosen.engine == "vector":
             # Vector shards replay the serial chunk sequence: same base
             # seed, chunk-aligned derivation offset.
-            payload.update(base_seed=base_seed, _seed_offset=start)
+            offsets = dict(base_seed=base_seed, seed_offset=start)
         else:
             # Sequential shards: replication i still runs seed
             # base_seed + i, exactly as the serial loop would.
-            payload.update(base_seed=base_seed + start)
-        if telemetry is not None:
-            # Fresh per-shard collector; merged back below in shard
-            # order, so run ids never depend on the worker count.
-            payload["telemetry"] = telemetry.spawn()
-        payloads.append(payload)
+            offsets = dict(base_seed=base_seed + start)
+        # Fresh per-shard collector; merged back below in shard order,
+        # so run ids never depend on the worker count.
+        shard_telemetry = telemetry.spawn() if telemetry is not None else None
+        kwargs = dict(
+            reps=count, batch_elems=batch_elems, telemetry=shard_telemetry, **offsets
+        )
+        payloads.append((cfg, chosen.engine, kwargs))
 
     if workers == 1 or len(payloads) == 1:
         shard_results = [_replication_shard(p) for p in payloads]
@@ -985,7 +962,9 @@ def _run_sharded(
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             shard_results = list(pool.map(_replication_shard, payloads))
 
-    merged = ReplicationSummary(algorithm=algorithm, n=n, engine=engine, task=task)
+    merged = ReplicationSummary(
+        algorithm=cfg.algorithm, n=cfg.n, engine=chosen.engine, task=cfg.task
+    )
     for shard, shard_telemetry in shard_results:
         merged.merge(shard)
         if telemetry is not None and shard_telemetry is not None:

@@ -25,12 +25,6 @@ event run reproduces the round engine's results *bit-identically* —
 zero-latency or otherwise — while exposing a completion-time axis; the
 fingerprint corpus replays through the event tier to pin exactly that.
 
-Determinism: the optional :class:`EventQueue` (``record_events=True``)
-orders deliveries by the content key ``(time, dst, src, kind)``, so the
-delivery order is a pure function of the events themselves — identical
-no matter in which order a producer happened to push them onto the
-heap.
-
 Delay resolution order: an explicit ``EventSchedulerSpec(delay=...)``
 wins, else the topology's ``delay=`` annotation, else unit
 :class:`~repro.sim.topology.ConstantDelay` (event time coincides with
@@ -39,9 +33,8 @@ the round clock under full participation).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, List, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, List, Optional
 
 import numpy as np
 
@@ -61,80 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Scheduler tiers selectable by name (``run/sweep --scheduler``).
 SCHEDULER_NAMES = ("round", "event")
-
-#: Default recorded-event cap for :class:`EventScheduler`'s debug queue.
-#: Long event-tier runs used to grow the queue without bound; the capped
-#: queue decimates with the same keep-the-exact-final-row policy as
-#: :class:`~repro.obs.probes.RoundSeries`.
-DEFAULT_EVENTS_CAP = 65536
-
-
-class EventQueue:
-    """A deterministic min-heap of delivery events.
-
-    Events are plain tuples ``(time, dst, src, kind)`` and the heap
-    orders by that full content key, so ties on ``time`` break on the
-    event's identity rather than on heap insertion order: pushing the
-    same multiset of events in *any* order drains the same sequence
-    (the Hypothesis suite pins this).  Two events with identical keys
-    are indistinguishable, so their relative order is moot.
-
-    ``cap`` bounds memory on long runs: past the cap the queue sorts and
-    keeps every second event plus the *exact* latest one (the
-    :class:`~repro.obs.probes.RoundSeries` decimation policy), doubling
-    ``stride`` each time.  A capped queue is a lossy debug log — its
-    drain is no longer insertion-order independent, and causal analysis
-    must not run on it: critical-path extraction
-    (:mod:`repro.obs.trace`) needs every contact and therefore records
-    into its own uncapped :class:`~repro.obs.trace.ContactTrace`, never
-    this queue.  The default ``cap=None`` keeps the historical exact,
-    order-independent behaviour.
-    """
-
-    def __init__(self, cap: Optional[int] = None) -> None:
-        self._heap: List[Tuple[float, int, int, str]] = []
-        self.cap = None if cap is None else max(2, int(cap))
-        self.stride = 1
-        self.decimated = False
-
-    def push(self, time: float, dst: int, src: int, kind: str = "push") -> None:
-        heapq.heappush(self._heap, (float(time), int(dst), int(src), str(kind)))
-        if self.cap is not None and len(self._heap) > self.cap:
-            self._thin()
-
-    def _thin(self) -> None:
-        """Halve the queue, keeping the exact latest event.
-
-        A sorted list is a valid binary heap, and appending the maximum
-        at the end preserves the heap property, so no re-heapify is
-        needed.
-        """
-        self._heap.sort()
-        tail = self._heap[-1]
-        self._heap = self._heap[:-1][::2]
-        self._heap.append(tail)
-        self.stride *= 2
-        self.decimated = True
-
-    def pop(self) -> Tuple[float, int, int, str]:
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Tuple[float, int, int, str]:
-        return self._heap[0]
-
-    def drain(self) -> List[Tuple[float, int, int, str]]:
-        """Pop everything, in (time, dst, src, kind) order."""
-        out = []
-        while self._heap:
-            out.append(heapq.heappop(self._heap))
-        return out
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
 
 class Scheduler:
     """The protocol both tiers implement.
@@ -199,13 +118,6 @@ class EventScheduler(Scheduler):
     advances one scalar instead of ``n`` clocks.  The general path is a
     handful of vectorised ops per committed round.
 
-    ``record_events=True`` additionally pushes every delivered contact
-    into an :class:`EventQueue` keyed ``(time, dst, src, kind)`` —
-    drain it for the globally time-ordered delivery log (debug scale;
-    the hot path never builds per-message Python objects).  The queue
-    is capped at ``events_cap`` entries by default; pass ``None`` for
-    the historical uncapped queue.
-
     ``contacts`` (a :class:`~repro.obs.trace.ContactTrace`) switches on
     causal tracing: every declared contact — start, completion, round,
     kind, delivery — is appended in bulk per commit, feeding
@@ -221,22 +133,11 @@ class EventScheduler(Scheduler):
         rng: np.random.Generator,
         *,
         model: Optional[DelayModel] = None,
-        record_events: bool = False,
-        events_cap: Optional[int] = DEFAULT_EVENTS_CAP,
         contacts: "Optional[ContactTrace]" = None,
-        horizon: Optional[int] = None,
     ) -> None:
         self._delay = delay
         self._rng = rng
         self._model = model
-        #: Graph-distance horizon (``Topology.diameter_hint``) of the
-        #: bound network, when the topology offers one — the expected
-        #: contact-depth of the run, used to size the debug queue.
-        self.horizon = horizon
-        self.record_events = bool(record_events)
-        self.events: Optional[EventQueue] = (
-            EventQueue(cap=events_cap) if record_events else None
-        )
         self.contacts = contacts
         self._clock: Optional[np.ndarray] = None
         self._uniform: Optional[float] = 0.0  # all clocks equal this, when set
@@ -270,7 +171,7 @@ class EventScheduler(Scheduler):
         return self._alive_count
 
     def on_commit(self, committed: "Round") -> None:
-        observing = self.record_events or self.contacts is not None
+        observing = self.contacts is not None
         if self._delay.zero and not observing:
             return  # clocks frozen at 0: the zero-latency overlay is free
         ops = [
@@ -324,24 +225,15 @@ class EventScheduler(Scheduler):
                     for i, op in enumerate(ops)
                 ]
             )
-            if self.contacts is not None:
-                self.contacts.record(
-                    self._sim.metrics.rounds,
-                    srcs,
-                    dsts,
-                    starts,
-                    complete,
-                    arrived,
-                    kinds,
-                )
-            if self.record_events:
-                for s, d, t, k in zip(
-                    srcs[arrived].tolist(),
-                    dsts[arrived].tolist(),
-                    complete[arrived].tolist(),
-                    kinds[arrived].tolist(),
-                ):
-                    self.events.push(t, d, s, "push" if k else "pull")
+            self.contacts.record(
+                self._sim.metrics.rounds,
+                srcs,
+                dsts,
+                starts,
+                complete,
+                arrived,
+                kinds,
+            )
 
 
 class BatchClockOverlay:
@@ -580,16 +472,12 @@ class EventSchedulerSpec:
 
     ``trace=True`` attaches a fresh, uncapped
     :class:`~repro.obs.trace.ContactTrace` at bind — the scheduler logs
-    every contact for critical-path extraction.  ``events_cap`` bounds
-    the debug :class:`EventQueue` (``record_events=True`` only);
-    ``None`` means uncapped.
+    every contact for critical-path extraction.
     """
 
     name: ClassVar[str] = "event"
     delay: Optional[DelayModel] = None
-    record_events: bool = False
     trace: bool = False
-    events_cap: Optional[int] = DEFAULT_EVENTS_CAP
 
     def resolve_delay(self, topology=None) -> DelayModel:
         """The delay model this spec runs: explicit > topology > unit."""
@@ -615,30 +503,7 @@ class EventSchedulerSpec:
             from repro.obs.trace import ContactTrace
 
             contacts = ContactTrace(net.n)
-        horizon = (
-            net.topology.diameter_hint(net.n) if net.topology is not None else None
-        )
-        events_cap = self.events_cap
-        if events_cap == DEFAULT_EVENTS_CAP and horizon is not None:
-            # The spec default sizes the debug queue by the flat
-            # complete-graph horizon; bound it by the topology's graph
-            # distance instead — a diameter-D graph needs ~n*D contact
-            # deliveries before the front closes, so hold that many
-            # before decimating (capped at 16x the default so a
-            # huge-diameter ring cannot demand an unbounded log).
-            # Explicit non-default caps are honoured verbatim.
-            events_cap = int(
-                min(max(events_cap, 2 * net.n * horizon), 16 * DEFAULT_EVENTS_CAP)
-            )
-        return EventScheduler(
-            bound,
-            rng,
-            model=model,
-            record_events=self.record_events,
-            events_cap=events_cap,
-            contacts=contacts,
-            horizon=horizon,
-        )
+        return EventScheduler(bound, rng, model=model, contacts=contacts)
 
     def describe(self) -> str:
         inner = self.delay.describe() if self.delay is not None else "topology"

@@ -99,6 +99,9 @@ class Topology:
         """
         raise NotImplementedError
 
+    def check_size(self, n: int) -> None:
+        """Raise ``ValueError`` if this spec cannot bind ``n`` nodes."""
+
     def describe(self) -> str:
         """Short human-readable form for reports and catalogues."""
         return self._decorate(self.name)
@@ -110,8 +113,7 @@ class Topology:
         deterministic topologies, w.h.p. for the random ones) — the
         natural unit for round budgets: information needs at least one
         round per hop, so ``max_rounds`` for spreading processes scales
-        with this instead of a hard-coded constant, and the event tier
-        sizes its contact-horizon bookkeeping by it.  ``None`` means the
+        with this instead of a hard-coded constant.  ``None`` means the
         spec offers no estimate (third-party topologies predating this
         hook); callers must keep their own fallback.
         """
@@ -388,6 +390,11 @@ class DelayModel:
     def describe(self) -> str:
         """Short human-readable form for reports and catalogues."""
         return self.name
+
+    def check_topology(self, topology: "Topology") -> None:
+        """Raise ``ValueError`` if this model cannot time ``topology``."""
+        if self.requires_graph and topology.complete:
+            self._require_graph(None)
 
     def _require_graph(self, graph: "Optional[ContactGraph]") -> "ContactGraph":
         if graph is None:
@@ -937,11 +944,14 @@ class Ring(Topology):
         if self.k < 1:
             raise ValueError(f"ring window k must be >= 1, got {self.k}")
 
-    def bind(self, n: int, rng: np.random.Generator) -> ContactGraph:
+    def check_size(self, n: int) -> None:
         if n <= 2 * self.k:
             raise ValueError(
                 f"ring window k={self.k} needs n > 2k nodes, got n={n}"
             )
+
+    def bind(self, n: int, rng: np.random.Generator) -> ContactGraph:
+        self.check_size(n)
         nodes = np.arange(n, dtype=np.int64)
         offsets = np.arange(1, self.k + 1, dtype=np.int64)
         u = np.repeat(nodes, self.k)
@@ -978,13 +988,17 @@ class Torus2D(Topology):
             rows -= 1
         return rows, n // rows
 
-    def bind(self, n: int, rng: np.random.Generator) -> ContactGraph:
+    def check_size(self, n: int) -> None:
         rows, cols = self.dims(n)
         if rows < 3 or cols < 3:
             raise ValueError(
                 f"torus needs a rows x cols factorisation with both sides "
                 f">= 3; n={n} factors as {rows} x {cols}"
             )
+
+    def bind(self, n: int, rng: np.random.Generator) -> ContactGraph:
+        self.check_size(n)
+        rows, cols = self.dims(n)
         nodes = np.arange(n, dtype=np.int64)
         r, c = nodes // cols, nodes % cols
         right = r * cols + (c + 1) % cols
@@ -1025,13 +1039,16 @@ class RandomRegular(Topology):
         if self.d < 1:
             raise ValueError(f"degree d must be >= 1, got {self.d}")
 
-    def bind(self, n: int, rng: np.random.Generator) -> ContactGraph:
+    def check_size(self, n: int) -> None:
         if self.d >= n:
             raise ValueError(f"degree d={self.d} needs n > d nodes, got n={n}")
         if (n * self.d) % 2:
             raise ValueError(
                 f"random-regular needs n * d even, got n={n}, d={self.d}"
             )
+
+    def bind(self, n: int, rng: np.random.Generator) -> ContactGraph:
+        self.check_size(n)
         stubs = np.repeat(np.arange(n, dtype=np.int64), self.d)
         rng.shuffle(stubs)
         for _ in range(self.max_repair_sweeps):
@@ -1108,12 +1125,14 @@ class ErdosRenyiGnp(Topology):
         # pair space: over-draw, deduplicate, top up, then subsample
         # uniformly back to m (np.unique sorts, so a plain [:m] would
         # bias toward small ranks).
-        chosen = np.unique(rng.integers(0, total, size=int(m * 1.1) + 16))
-        while len(chosen) < m:
-            extra = rng.integers(0, total, size=m - len(chosen) + 16)
-            chosen = np.unique(np.concatenate([chosen, extra]))
-        if len(chosen) > m:
-            chosen = rng.choice(chosen, size=m, replace=False)
+        chosen = np.empty(0, dtype=np.int64)
+        if total:  # a single node has no pairs to draw from
+            chosen = np.unique(rng.integers(0, total, size=int(m * 1.1) + 16))
+            while len(chosen) < m:
+                extra = rng.integers(0, total, size=m - len(chosen) + 16)
+                chosen = np.unique(np.concatenate([chosen, extra]))
+            if len(chosen) > m:
+                chosen = rng.choice(chosen, size=m, replace=False)
         u, v = self._unrank(n, chosen)
         indptr, indices = _csr_from_edges(n, u, v)
         return ContactGraph(self.describe(), n, indptr, indices)

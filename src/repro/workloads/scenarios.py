@@ -17,25 +17,21 @@ processes with deterministic, bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.runner import RunRecord, RunSpec, execute, replicate_spec
 from repro.analysis.stats import ReplicationSummary
-from repro.core.broadcast import broadcast
+from repro.core.broadcast import RunConfig, run_config
 from repro.core.result import AlgorithmReport
-from repro.registry import get_algorithm, get_task
-from repro.sim.dynamics import AdversitySchedule, resolve_schedule
-from repro.sim.schedule import EventSchedulerSpec, resolve_scheduler
+from repro.sim.schedule import EventSchedulerSpec
 from repro.sim.topology import (
-    ADDRESSING_MODES,
     EdgeWeightedDelay,
     NodeSlowdownDelay,
     RandomRegular,
     RateLimitedEdgeDelay,
     Ring,
     Topology,
-    resolve_topology,
 )
 
 
@@ -53,129 +49,71 @@ def _diameter_round_budget(topology: Topology, n: int) -> int:
     return 3 * hint + 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Scenario:
-    """A named broadcast workload.
+    """A named broadcast workload: one validated
+    :class:`~repro.core.broadcast.RunConfig` plus catalogue metadata.
 
-    Validated against the algorithm registry on construction: the
-    algorithm must be a registered broadcastable name and every extra
-    keyword must be one of its declared knobs.  ``schedule`` (a dynamic
-    adversity timeline — an :class:`~repro.sim.dynamics.AdversitySchedule`,
-    a preset name, or a spec string) is resolved at definition time, so a
-    typo'd schedule also fails immediately.
+    Constructed from :func:`~repro.core.broadcast.broadcast`'s flat
+    keywords (``n``, ``algorithm``, ``message_bits``, ``schedule``,
+    ``topology``, ... and algorithm knobs such as ``delta=128``), which
+    build the config on the spot: a typo'd algorithm, task, topology or
+    schedule fails at definition time, with the scenario's name in the
+    message.  A scenario's algorithm must also be broadcastable, and
+    every algorithm knob one its registry entry declares.
     """
 
     name: str
     description: str
-    n: int
-    algorithm: str
-    message_bits: int
-    failures: float = 0
-    failure_pattern: str = "random"
-    schedule: "AdversitySchedule | str | None" = None
-    #: Workload semantics (a registered task name); the default is the
-    #: implicit single-rumor broadcast.
-    task: str = "broadcast"
-    task_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Contact topology (a frozen Topology spec or a registered name);
-    #: None is the paper's complete graph.
-    topology: "Topology | str | None" = None
-    direct_addressing: str = "global"
-    #: Execution tier ("event", an
-    #: :class:`~repro.sim.schedule.EventSchedulerSpec`, or None for the
-    #: synchronous round engine); normalised to a frozen spec on
-    #: construction so a typo fails at definition time.
-    scheduler: "EventSchedulerSpec | str | None" = None
+    config: RunConfig
     #: Default replication count for :func:`replicate_suite`.
     reps: int = 1
     #: Heavy (large-n) presets are skipped by whole-catalogue sweeps and
     #: must be requested by name — they exist for the scale tier, not for
     #: smoke tests.
     heavy: bool = False
-    kwargs: Dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        spec = get_algorithm(self.algorithm)  # raises on unknown names
-        if not spec.broadcastable:
-            raise ValueError(
-                f"scenario {self.name!r}: algorithm {self.algorithm!r} is "
-                f"not a broadcast algorithm (category {spec.category!r})"
-            )
-        unknown = set(self.kwargs) - set(spec.kwargs)
-        if unknown:
-            raise ValueError(
-                f"scenario {self.name!r}: {self.algorithm!r} does not accept "
-                f"{sorted(unknown)}; declared knobs are {sorted(spec.kwargs)}"
-            )
-        task_spec = get_task(self.task)  # raises on unknown task names
-        if not spec.supports_task(self.task):
-            raise ValueError(
-                f"scenario {self.name!r}: algorithm {self.algorithm!r} "
-                f"cannot run task {self.task!r} (no registered transport)"
-            )
-        unknown_task = set(self.task_kwargs) - set(task_spec.kwargs)
-        if unknown_task:
-            raise ValueError(
-                f"scenario {self.name!r}: task {self.task!r} does not accept "
-                f"{sorted(unknown_task)}; declared knobs are "
-                f"{sorted(task_spec.kwargs)}"
-            )
-        # Normalise preset names / spec strings to frozen specs, and
-        # gate the (algorithm, topology) pair like broadcast() would.
-        object.__setattr__(self, "schedule", resolve_schedule(self.schedule))
-        object.__setattr__(self, "topology", resolve_topology(self.topology))
-        object.__setattr__(self, "scheduler", resolve_scheduler(self.scheduler))
-        if self.direct_addressing not in ADDRESSING_MODES:
-            raise ValueError(
-                f"scenario {self.name!r}: direct_addressing must be one of "
-                f"{ADDRESSING_MODES}, got {self.direct_addressing!r}"
-            )
-        if not spec.supports_topology(self.topology):
-            raise ValueError(
-                f"scenario {self.name!r}: algorithm {self.algorithm!r} only "
-                f"runs on the complete contact graph, not "
-                f"{self.topology.describe()!r}"
-            )
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        *,
+        reps: int = 1,
+        heavy: bool = False,
+        **config: Any,
+    ) -> None:
+        try:
+            cfg = RunConfig.build(**config)
+            spec = cfg.spec
+            if not spec.broadcastable:
+                raise ValueError(
+                    f"algorithm {cfg.algorithm!r} is not a broadcast "
+                    f"algorithm (category {spec.category!r})"
+                )
+            unknown = set(cfg.algorithm_kwargs) - set(spec.kwargs)
+            if unknown:
+                raise ValueError(
+                    f"{cfg.algorithm!r} does not accept {sorted(unknown)}; "
+                    f"declared knobs are {sorted(spec.kwargs)}"
+                )
+        except ValueError as exc:
+            raise ValueError(f"scenario {name!r}: {exc}") from None
+        for key, value in (
+            ("name", name),
+            ("description", description),
+            ("config", cfg),
+            ("reps", reps),
+            ("heavy", heavy),
+        ):
+            object.__setattr__(self, key, value)
 
     def run_spec(self, seed: int = 0, reps: int = 1, engine: str = "auto") -> RunSpec:
         """Compile to one executor job (``reps > 1``: a replication job)."""
-        return RunSpec(
-            algorithm=self.algorithm,
-            n=self.n,
-            seed=seed,
-            message_bits=self.message_bits,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=dict(self.task_kwargs),
-            topology=self.topology,
-            direct_addressing=self.direct_addressing,
-            scheduler=self.scheduler,
-            reps=reps,
-            engine=engine,
-            kwargs=dict(self.kwargs),
-        )
+        return RunSpec(self.config, seed, reps=reps, engine=engine)
 
     def run(self, seed: int = 0, **overrides: Any) -> AlgorithmReport:
-        """Execute the scenario (``overrides`` patch any broadcast arg)."""
-        args = dict(
-            n=self.n,
-            algorithm=self.algorithm,
-            message_bits=self.message_bits,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=dict(self.task_kwargs),
-            topology=self.topology,
-            direct_addressing=self.direct_addressing,
-            scheduler=self.scheduler,
-            seed=seed,
-        )
-        args.update(self.kwargs)
-        args.update(overrides)
-        return broadcast(**args)
+        """Execute the scenario (``overrides`` patch any broadcast keyword)."""
+        return run_config(self.config.patch(**overrides), seed)
 
 
 SCENARIOS: Dict[str, Scenario] = {}
@@ -230,7 +168,7 @@ for _scenario in [
         n=2**13,
         algorithm="cluster3",
         message_bits=512,
-        kwargs={"delta": 128},
+        delta=128,
     ),
     Scenario(
         name="low-latency-smalljob",
@@ -395,7 +333,7 @@ for _scenario in [
         algorithm="push-pull",
         message_bits=256,
         topology=Ring(k=4),
-        kwargs={"max_rounds": _diameter_round_budget(Ring(k=4), 2**9)},
+        max_rounds=_diameter_round_budget(Ring(k=4), 2**9),
     ),
     Scenario(
         name="sparse-regular-aggregation",
@@ -472,7 +410,7 @@ for _scenario in [
         message_bits=256,
         topology=Ring(k=4, delay=RateLimitedEdgeDelay(base=1.0, fraction=0.05, factor=20.0)),
         scheduler="event",
-        kwargs={"max_rounds": _diameter_round_budget(Ring(k=4), 2**9)},
+        max_rounds=_diameter_round_budget(Ring(k=4), 2**9),
     ),
     # ------------------------------------------------------------------
     # Scale tier (heavy): production-sized networks, run by name through

@@ -1,12 +1,12 @@
 """Tests for the causal trace layer (repro.obs.trace) and its plumbing:
-EventQueue capping, span trees, broadcast/replication/CLI threading."""
+span trees, broadcast/replication/CLI threading."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.runner import RunSpec
 from repro.cli import main
-from repro.core.broadcast import broadcast, run_replications
+from repro.core.broadcast import RunConfig, broadcast, run_replications
 from repro.obs import (
     ContactTrace,
     Telemetry,
@@ -16,7 +16,7 @@ from repro.obs import (
 )
 from repro.obs.trace import path_record, trace_record
 from repro.sim.rng import derive_seed, make_rng
-from repro.sim.schedule import DEFAULT_EVENTS_CAP, EventQueue, EventSchedulerSpec, parse_delay
+from repro.sim.schedule import EventSchedulerSpec, parse_delay
 from repro.sim.topology import NodeSlowdownDelay
 
 
@@ -180,7 +180,7 @@ class TestBroadcastThreading:
 
     def test_runspec_trace_field(self):
         report = RunSpec(
-            algorithm="push-pull", n=256, seed=7, trace=True, check_model=False
+            RunConfig(256, "push-pull", trace=True, check_model=False), seed=7
         ).run()
         assert report.extras["critical_path_len"] <= report.rounds
 
@@ -203,38 +203,16 @@ class TestBroadcastThreading:
         assert not any(rec["type"] in ("trace", "path") for rec in records)
 
 
-class TestEventQueueCap:
-    def test_uncapped_grows_without_bound(self):
-        queue = EventQueue(cap=None)
-        for i in range(1000):
-            queue.push(float(i), i, i)
-        assert len(queue) == 1000 and not queue.decimated
-
-    def test_cap_decimates_keeping_exact_tail(self):
-        queue = EventQueue(cap=64)
-        for i in range(1000):
-            queue.push(float(i), i, i)
-        assert len(queue) <= 64
-        assert queue.decimated and queue.stride > 1
-        drained = queue.drain()
-        times = [e[0] for e in drained]
-        assert times == sorted(times)
-        # The exact most-recent event always survives decimation.
-        assert times[-1] == 999.0
-
-    def test_scheduler_default_cap_bounds_memory(self):
-        spec = EventSchedulerSpec(record_events=True)
-        assert spec.events_cap == DEFAULT_EVENTS_CAP
-
+class TestContactTraceCompleteness:
     def test_trace_is_never_capped(self):
-        # The documented contract: critical-path extraction needs the
-        # uncapped ContactTrace, independent of the debug queue's cap.
+        # The documented contract: critical-path extraction needs every
+        # contact, so the ContactTrace is never capped.
         report = broadcast(
             512,
             "push-pull",
             seed=3,
             check_model=False,
-            scheduler=EventSchedulerSpec(trace=True, record_events=True, events_cap=16),
+            scheduler=EventSchedulerSpec(trace=True),
         )
         trace = report.extras["contact_trace"]
         assert len(trace) > 16

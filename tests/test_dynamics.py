@@ -376,17 +376,7 @@ class TestExecutorDeterminism:
         for name in ["churn-heavy", "lossy-datacenter", "blackout-partition"]:
             scenario = get_scenario(name)
             for seed in (0, 1):
-                spec = scenario.run_spec(seed)
-                specs.append(
-                    RunSpec(
-                        algorithm=spec.algorithm,
-                        n=512,
-                        seed=spec.seed,
-                        message_bits=spec.message_bits,
-                        schedule=spec.schedule,
-                        kwargs=dict(spec.kwargs),
-                    )
-                )
+                specs.append(RunSpec(scenario.config.patch(n=512), seed))
         return specs
 
     def test_workers_1_and_2_bit_identical(self):
@@ -413,11 +403,11 @@ class TestDynamicScenarios:
             "membership-update-flaky",
         ]:
             assert preset in names
-            assert get_scenario(preset).schedule is not None
+            assert get_scenario(preset).config.schedule is not None
 
     def test_schedule_string_resolved_at_definition(self):
         scenario = get_scenario("churn-light")
-        assert isinstance(scenario.schedule, AdversitySchedule)
+        assert isinstance(scenario.config.schedule, AdversitySchedule)
 
     def test_dynamic_suite_runs_end_to_end(self):
         names = ["churn-light", "lossy-datacenter", "blackout-partition"]

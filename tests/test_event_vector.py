@@ -22,7 +22,6 @@ from repro.cli import main
 from repro.core.broadcast import run_replications
 from repro.sim.rng import derive_seed, make_rng
 from repro.sim.schedule import (
-    DEFAULT_EVENTS_CAP,
     BatchClockOverlay,
     EventSchedulerSpec,
     make_batch_overlay,
@@ -198,16 +197,6 @@ class TestEngineSelection:
                 engine="vector",
                 scheduler="event",
                 trace=True,
-            )
-
-    def test_vector_with_record_events_raises(self):
-        with pytest.raises(ValueError, match="event recording"):
-            run_replications(
-                128,
-                "push-pull",
-                reps=2,
-                engine="vector",
-                scheduler=EventSchedulerSpec(record_events=True),
             )
 
     def test_cli_exits_2_on_unbatchable_event_vector(self, capsys, tmp_path):
@@ -433,29 +422,9 @@ class TestDiameterHints:
         from repro.workloads.scenarios import SCENARIOS, _diameter_round_budget
 
         for name in ("ring-broadcast", "rate-limited-edge"):
-            sc = SCENARIOS[name]
-            assert sc.kwargs["max_rounds"] == _diameter_round_budget(
-                Ring(k=4), sc.n
+            cfg = SCENARIOS[name].config
+            assert cfg.algorithm_kwargs["max_rounds"] == _diameter_round_budget(
+                Ring(k=4), cfg.n
             )
             # Exactly the historical hand-tuned budget, now derived.
-            assert sc.kwargs["max_rounds"] == 200
-
-    def test_event_queue_cap_grows_with_the_horizon(self):
-        from repro.sim.network import Network
-
-        n = 2**12
-        net = Network(n, 0, topology=resolve_topology(Ring(k=1)))
-        spec = EventSchedulerSpec(record_events=True)
-        sched = spec.bind(net, make_rng(1))
-        # Ring(k=1) at n=4096 has horizon 2048: the default cap would
-        # decimate the queue long before one traversal completes.
-        assert sched.events.cap > DEFAULT_EVENTS_CAP
-        assert sched.events.cap <= 16 * DEFAULT_EVENTS_CAP
-
-    def test_explicit_cap_is_honoured_verbatim(self):
-        from repro.sim.network import Network
-
-        net = Network(2**12, 0, topology=resolve_topology(Ring(k=1)))
-        spec = EventSchedulerSpec(record_events=True, events_cap=64)
-        sched = spec.bind(net, make_rng(1))
-        assert sched.events.cap == 64
+            assert cfg.algorithm_kwargs["max_rounds"] == 200

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.broadcast import ReplicationEngine, broadcast
+from repro.core.broadcast import ReplicationEngine, RunConfig, broadcast
 from repro.registry import make_topology
 from repro.sim.schedule import EventSchedulerSpec
 from repro.sim.topology import ConstantDelay
@@ -89,7 +89,7 @@ def _execute(case: dict, shape: str):
             scheduler=EventSchedulerSpec(delay=ConstantDelay(0.0)),
             **config,
         )
-    engine = ReplicationEngine(case["n"], case["algorithm"], **config)
+    engine = ReplicationEngine(RunConfig(case["n"], case["algorithm"], **config))
     # Run a throwaway neighbouring seed first so the pinned seed executes
     # on a *reused* (reset) network and a warm pool — the reuse path is
     # the one under test.

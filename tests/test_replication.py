@@ -11,7 +11,13 @@ import pytest
 
 from repro.analysis.runner import RunSpec, execute, replicate_spec, replication_sweep
 from repro.analysis.stats import ReplicationSummary, StreamingSummary, summarize
-from repro.core.broadcast import ReplicationEngine, broadcast, run_replications
+from repro.core.broadcast import (
+    ReplicationEngine,
+    RunConfig,
+    broadcast,
+    report_scalars,
+    run_replications,
+)
 from repro.sim.batch import batch_size, random_targets_batch
 from repro.sim.engine import BufferPool, Simulator, _gather
 from repro.sim.ids import IdSpace
@@ -168,7 +174,7 @@ class TestBufferPool:
 class TestResetEngine:
     @pytest.mark.parametrize("algorithm", ["push-pull", "cluster2"])
     def test_bit_identical_to_broadcast_per_seed(self, algorithm):
-        engine = ReplicationEngine(512, algorithm)
+        engine = ReplicationEngine(RunConfig(512, algorithm))
         for seed in (0, 5, 11):
             assert _fingerprint(engine.run(seed)) == _fingerprint(
                 broadcast(512, algorithm, seed=seed)
@@ -176,7 +182,7 @@ class TestResetEngine:
 
     def test_bit_identical_under_schedule_and_failures(self):
         engine = ReplicationEngine(
-            256, "push-pull", failures=20, source=None, schedule="loss:0.05"
+            RunConfig(256, "push-pull", failures=20, source=None, schedule="loss:0.05")
         )
         for seed in (1, 2):
             want = broadcast(
@@ -190,7 +196,7 @@ class TestResetEngine:
             assert _fingerprint(engine.run(seed)) == _fingerprint(want)
 
     def test_network_allocation_is_reused(self):
-        engine = ReplicationEngine(128, "push-pull")
+        engine = ReplicationEngine(RunConfig(128, "push-pull"))
         engine.run(0)
         net = engine._net
         engine.run(1)
@@ -198,7 +204,7 @@ class TestResetEngine:
 
     def test_poisoned_pool_between_reps_changes_nothing(self):
         """The cross-replication half of the reuse-poisoning contract."""
-        engine = ReplicationEngine(512, "cluster2")
+        engine = ReplicationEngine(RunConfig(512, "cluster2"))
         engine.run(0)
         engine.pool.poison()
         assert _fingerprint(engine.run(3)) == _fingerprint(
@@ -272,9 +278,13 @@ class TestVectorEngine:
 
 class TestRebuildEngine:
     def test_matches_reset_engine_bitwise(self):
-        a = run_replications(256, "push-pull", reps=5, engine="rebuild")
+        """The rebuild-per-seed loop — a fresh broadcast() per seed —
+        streams the same figures as the reset engine."""
+        a = ReplicationSummary(algorithm="push-pull", n=256, engine="reset")
+        for seed in range(5):
+            a.observe(**report_scalars(broadcast(256, "push-pull", seed=seed)))
         b = run_replications(256, "push-pull", reps=5, engine="reset")
-        assert a.row() | {"engine": ""} == b.row() | {"engine": ""}
+        assert a.row() == b.row()
 
 
 # ----------------------------------------------------------------------
@@ -369,15 +379,15 @@ class TestReplicationSummary:
 
 class TestRunSpecReplication:
     def test_replicate_spec_runs_reps(self):
-        spec = RunSpec(algorithm="push-pull", n=256, seed=5, reps=7)
+        spec = RunSpec(RunConfig(256, "push-pull"), seed=5, reps=7)
         summary = replicate_spec(spec)
         assert summary.reps == 7
         assert summary.algorithm == "push-pull"
 
     def test_parallel_workers_match_serial(self):
         specs = [
-            RunSpec(algorithm="push-pull", n=256, seed=0, reps=6),
-            RunSpec(algorithm="cluster2", n=256, seed=0, reps=4),
+            RunSpec(RunConfig(256, "push-pull"), reps=6),
+            RunSpec(RunConfig(256, "cluster2"), reps=4),
         ]
         serial = execute(specs, workers=1, job=replicate_spec)
         parallel = execute(specs, workers=2, job=replicate_spec)

@@ -11,6 +11,7 @@ from repro.analysis.runner import (
     sweep,
     sweep_reports,
 )
+from repro.core.broadcast import RunConfig
 
 
 class TestRunOnce:
@@ -59,7 +60,7 @@ class TestExecutor:
         specs = expand_grid(["push", "pull"], [256, 512], [0, 1])
         assert len(specs) == 8
         # algorithm-major, then n, then seed — the historical loop order
-        assert [(s.algorithm, s.n, s.seed) for s in specs[:3]] == [
+        assert [(s.config.algorithm, s.config.n, s.seed) for s in specs[:3]] == [
             ("push", 256, 0),
             ("push", 256, 1),
             ("push", 512, 0),
@@ -67,7 +68,7 @@ class TestExecutor:
 
     def test_specs_carry_knobs(self):
         (spec,) = expand_grid(["cluster3"], [4096], [0], delta=256)
-        assert spec.kwargs == {"delta": 256}
+        assert spec.config.algorithm_kwargs == {"delta": 256}
         rec = execute([spec])[0]
         assert rec.extras["delta"] == 256
 
@@ -90,7 +91,7 @@ class TestExecutor:
 
     def test_sweep_reports_full_shape(self):
         specs = [
-            RunSpec(algorithm="cluster2", n=1024, seed=s, failures=64)
+            RunSpec(RunConfig(1024, "cluster2", failures=64), seed=s)
             for s in (0, 1)
         ]
         reports = sweep_reports(specs, workers=2)
@@ -100,7 +101,7 @@ class TestExecutor:
             assert report.metrics.rounds == report.rounds
 
     def test_source_none_forwarded(self):
-        spec = RunSpec(algorithm="push", n=256, seed=3, source=None)
+        spec = RunSpec(RunConfig(256, "push", source=None), seed=3)
         a, b = execute([spec, spec], workers=2)
         assert a == b  # random source derives from the spec's seed
 

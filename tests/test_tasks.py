@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import broadcast, run_replications
-from repro.core.broadcast import ReplicationEngine, report_scalars
+from repro.core.broadcast import ReplicationEngine, RunConfig, report_scalars
 from repro.registry import (
     IncompatibleTaskError,
     TaskSpec,
@@ -176,7 +176,9 @@ class TestTaskComposition:
 class TestTaskReplication:
     @pytest.mark.parametrize("task,task_kwargs", TASK_MATRIX)
     def test_reset_engine_bit_identical_to_broadcast(self, task, task_kwargs):
-        eng = ReplicationEngine(256, "push-pull", task=task, task_kwargs=task_kwargs)
+        eng = ReplicationEngine(
+            RunConfig(256, "push-pull", task=task, task_kwargs=task_kwargs)
+        )
         for seed in (0, 5):
             assert report_scalars(eng.run(seed)) == report_scalars(
                 broadcast(256, "push-pull", seed=seed, task=task,
@@ -243,10 +245,16 @@ class TestTaskReplication:
         assert "task_error_mean" in with_err.row()
 
     def test_reset_and_rebuild_agree(self):
+        """The reset engine matches the rebuild-per-seed loop (a fresh
+        broadcast() per seed)."""
+        from repro.analysis.stats import ReplicationSummary
+
         a = run_replications(256, "push-pull", reps=3, task="min-max",
                              engine="reset")
-        b = run_replications(256, "push-pull", reps=3, task="min-max",
-                             engine="rebuild")
+        b = ReplicationSummary(algorithm="push-pull", n=256, task="min-max")
+        for seed in range(3):
+            b.observe(**report_scalars(
+                broadcast(256, "push-pull", seed=seed, task="min-max")))
         assert a.metrics["spread_rounds"].mean == b.metrics["spread_rounds"].mean
         assert a.metrics["bits_per_node"].mean == b.metrics["bits_per_node"].mean
 
@@ -274,7 +282,7 @@ class TestTaskScenarios:
             "extrema-broadcast",
         ):
             assert name in SCENARIOS
-            assert SCENARIOS[name].task != "broadcast"
+            assert SCENARIOS[name].config.task != "broadcast"
 
     def test_preset_runs_at_small_n(self):
         from repro.workloads.scenarios import run_scenario
@@ -287,12 +295,13 @@ class TestTaskScenarios:
         from repro.workloads.scenarios import get_scenario
 
         spec = get_scenario("all-cast-k8").run_spec(seed=3)
-        assert spec.task == "k-rumor" and spec.task_kwargs == {"k": 8}
+        assert spec.config.task == "k-rumor"
+        assert spec.config.task_kwargs == {"k": 8}
 
     def test_invalid_task_scenario_rejected(self):
         from repro.workloads.scenarios import Scenario
 
-        with pytest.raises(ValueError, match="cannot run task"):
+        with pytest.raises(ValueError, match="no registered task transport"):
             Scenario(
                 name="bad", description="", n=256, algorithm="pull",
                 message_bits=64, task="push-sum",
@@ -468,7 +477,7 @@ class TestNoTransportErrorShape:
             broadcast(256, "avin-elsasser", task="k-rumor")
 
     def test_replication_paths_raise_clear_valueerror(self):
-        for engine in ("auto", "reset", "rebuild"):
+        for engine in ("auto", "reset"):
             with pytest.raises(ValueError, match="no registered task transport"):
                 run_replications(
                     256, "cluster3", reps=2, task="min-max", engine=engine

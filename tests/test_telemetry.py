@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis.runner import RunSpec
-from repro.core.broadcast import broadcast, run_replications
+from repro.core.broadcast import RunConfig, broadcast, run_replications
 from repro.obs import (
     RoundSeries,
     SpanRecorder,
@@ -333,8 +333,7 @@ class TestVectorIntegration:
 class TestRunSpecSurface:
     def test_run_attaches_collector(self):
         spec = RunSpec(
-            algorithm="cluster2", n=256, seed=0,
-            telemetry=TelemetryConfig(probe_every=2),
+            RunConfig(256, "cluster2"), telemetry=TelemetryConfig(probe_every=2)
         )
         report = spec.run()
         tel = report.extras["telemetry"]
@@ -344,7 +343,7 @@ class TestRunSpecSurface:
 
     def test_replicate_attaches_collector(self):
         spec = RunSpec(
-            algorithm="cluster2", n=256, seed=0, reps=4, engine="vector",
+            RunConfig(256, "cluster2"), reps=4, engine="vector",
             telemetry=TelemetryConfig(),
         )
         summary = spec.replicate()
@@ -352,7 +351,7 @@ class TestRunSpecSurface:
         assert len(summary.telemetry.runs) >= 1
 
     def test_no_telemetry_no_extras(self):
-        report = RunSpec(algorithm="cluster2", n=256, seed=0).run()
+        report = RunSpec(RunConfig(256, "cluster2")).run()
         assert "telemetry" not in report.extras
 
 

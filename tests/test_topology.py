@@ -25,7 +25,12 @@ from hypothesis import strategies as st
 
 from repro.analysis.runner import RunSpec, execute
 from repro.cli import main as cli_main
-from repro.core.broadcast import ReplicationEngine, broadcast, run_replications
+from repro.core.broadcast import (
+    ReplicationEngine,
+    RunConfig,
+    broadcast,
+    run_replications,
+)
 from repro.registry import (
     DuplicateTopologyError,
     TopologySpec,
@@ -319,7 +324,9 @@ class TestRegistry:
 class TestThreadedSurface:
     def test_replication_engine_bit_identical_per_seed(self):
         engine = ReplicationEngine(
-            512, "push-pull", topology=RandomRegular(d=8), schedule="trickle:0.01"
+            RunConfig(
+                512, "push-pull", topology=RandomRegular(d=8), schedule="trickle:0.01"
+            )
         )
         engine.run(7)  # warm the reuse path
         lean = engine.run(3)
@@ -374,16 +381,9 @@ class TestThreadedSurface:
 
     def test_parallel_sweep_bit_identical_across_workers(self):
         specs = [
-            RunSpec(
-                algorithm="push-pull",
-                n=256,
-                seed=seed,
-                topology=RandomRegular(d=6),
-            )
+            RunSpec(RunConfig(256, "push-pull", topology=RandomRegular(d=6)), seed)
             for seed in range(4)
-        ] + [
-            RunSpec(algorithm="cluster2", n=256, seed=0, topology="torus")
-        ]
+        ] + [RunSpec(RunConfig(256, "cluster2", topology="torus"))]
         serial = execute(specs, workers=1)
         parallel = execute(specs, workers=2)
         assert serial == parallel
@@ -391,7 +391,7 @@ class TestThreadedSurface:
 
     def test_scenario_presets(self):
         ring = get_scenario("ring-broadcast")
-        assert ring.topology == Ring(k=4)
+        assert ring.config.topology == Ring(k=4)
         report = run_scenario("sparse-regular-aggregation")
         assert report.extras["converged"]
         with pytest.raises(ValueError, match="complete contact graph"):
@@ -468,8 +468,12 @@ class TestReviewHardening:
         rr_net.reset(1)
         assert rr_net.graph is not before  # random graphs are per-seed
 
+    def test_gnp_binds_a_single_node(self):
+        report = broadcast(1, "push-pull", seed=0, topology="gnp")
+        assert report.success
+
     def test_deterministic_reuse_stays_bit_identical(self):
-        engine = ReplicationEngine(256, "push-pull", topology=Ring(k=4))
+        engine = ReplicationEngine(RunConfig(256, "push-pull", topology=Ring(k=4)))
         engine.run(9)  # warm: seed 3 below runs on the reused graph
         lean = engine.run(3)
         fresh = broadcast(256, "push-pull", seed=3, topology=Ring(k=4))

@@ -20,7 +20,7 @@ class TestScenarioTable:
             assert len(sc.description) > 10
 
     def test_lookup(self):
-        assert get_scenario("membership-update").algorithm == "cluster2"
+        assert get_scenario("membership-update").config.algorithm == "cluster2"
         with pytest.raises(ValueError, match="unknown scenario"):
             get_scenario("nope")
 
@@ -70,7 +70,7 @@ class TestRegistryValidation:
                 n=256,
                 algorithm="cluster2",
                 message_bits=64,
-                kwargs={"delta": 64},
+                delta=64,
             )
 
     def test_non_broadcast_algorithm_rejected(self):
@@ -109,6 +109,6 @@ class TestSuite:
     def test_run_spec_round_trip(self):
         sc = get_scenario("bounded-fanin-datacenter")
         spec = sc.run_spec(seed=5)
-        assert spec.algorithm == "cluster3"
-        assert spec.kwargs == {"delta": 128}
+        assert spec.config.algorithm == "cluster3"
+        assert spec.config.algorithm_kwargs == {"delta": 128}
         assert spec.seed == 5
