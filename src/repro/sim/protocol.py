@@ -96,11 +96,12 @@ def run_protocol(
         steps += 1
         if completion is None and protocol.done():
             completion = steps
-        trace.emit(
-            sim.metrics.rounds,
-            f"{protocol.name}.step",
-            progress=round(protocol.progress(), 6),
-        )
+        if trace.enabled:
+            trace.emit(
+                sim.metrics.rounds,
+                f"{protocol.name}.step",
+                progress=round(protocol.progress(), 6),
+            )
     return ProtocolResult(
         rounds=steps, completed=protocol.done(), completion_round=completion
     )

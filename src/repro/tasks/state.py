@@ -102,7 +102,8 @@ class TaskState(abc.ABC):
 
     @abc.abstractmethod
     def begin_push(self, srcs: np.ndarray):
-        """Stage an outgoing message per src; returns an opaque token.
+        """Stage an outgoing message per src; returns a staging token
+        (see :meth:`finish_push` for its contract).
 
         Mass-moving states (push-sum) mutate here: the staged half
         leaves the sender whether or not it is later delivered (a lost
@@ -122,7 +123,16 @@ class TaskState(abc.ABC):
         """Apply the delivered subset of a staged push.
 
         ``srcs``/``dsts`` are the engine's delivered pairs — a subset of
-        the token's senders, with possibly repeated destinations.
+        the staged senders, with possibly repeated destinations.
+
+        The token is per-node: one or more length-``n`` arrays holding
+        each node's staged content, so the delivered content is a gather
+        by sender id (``token[srcs]``), never a search.  Push-sum stages
+        its outgoing ``v``/``w`` shares, zero where nothing was staged;
+        the monotone states stage their round snapshot as is.  A token
+        may alias buffers the state reuses, so it is valid only until
+        the next ``begin_push``/``begin_extract``/``begin_round`` — a
+        transport finishes each push before it stages the next.
         """
 
     # -- pull path ------------------------------------------------------
@@ -163,8 +173,7 @@ class TaskState(abc.ABC):
 
     def done(self, alive: np.ndarray) -> bool:
         """True when every alive node is individually complete."""
-        idx = np.flatnonzero(alive)
-        return bool(self.completion_mask()[idx].all()) if len(idx) else True
+        return bool(np.all(self.completion_mask(), where=alive))
 
     @abc.abstractmethod
     def error(self, alive: np.ndarray) -> float:
@@ -181,10 +190,10 @@ class TaskState(abc.ABC):
 
     def progress(self, alive: np.ndarray) -> float:
         """A scalar in [0, 1] for traces."""
-        idx = np.flatnonzero(alive)
-        if len(idx) == 0:
+        live = np.count_nonzero(alive)
+        if live == 0:
             return 1.0
-        return float(self.completion_mask()[idx].mean())
+        return np.count_nonzero(self.completion_mask() & alive) / live
 
     def round_cap(self, n: int) -> int:
         """Default uniform-transport schedule length (shared with the
@@ -248,12 +257,10 @@ class KRumorState(TaskState):
         return self.k + counts * self.rumor_bits
 
     def begin_push(self, srcs: np.ndarray):
-        return (srcs, self._snap[srcs])
+        return self._snap  # the snapshot is already a per-node token
 
     def finish_push(self, token, srcs: np.ndarray, dsts: np.ndarray) -> None:
-        staged_srcs, staged = token
-        rows = staged[np.searchsorted(staged_srcs, srcs)]
-        np.logical_or.at(self.holds, dsts, rows)
+        np.logical_or.at(self.holds, dsts, token[srcs])
 
     def deliver_pull(self, receivers: np.ndarray, responders: np.ndarray) -> None:
         self.holds[receivers] |= self._snap[responders]
@@ -323,26 +330,37 @@ class PushSumState(TaskState):
         self.v = np.where(alive, self.values, 0.0)
         self.w = alive.astype(np.float64)
         self.est = np.full(self.n, np.nan)
+        # Per-node staging tokens: the mass each node staged this push,
+        # zero where nothing was staged (see finish_push).
+        self._v_out = np.zeros(self.n)
+        self._w_out = np.zeros(self.n)
+        self._staged = np.zeros(self.n, dtype=bool)
+        # Relative error of ``est``, evaluated lazily once per change to
+        # ``est``; None marks it stale (see _rel_err).
+        self._err: Optional[np.ndarray] = None
         self.end_round()  # initial estimates = own value
         self._est_snap = self.est.copy()
         self._prev_alive = alive.copy()
         self.mass_restored = 0
 
     def sync_liveness(self, alive: np.ndarray) -> None:
+        if not self.restore_mass:
+            return  # revived nodes simply resume with the mass they held
         revived = alive & ~self._prev_alive
-        if revived.any() and self.restore_mass:
+        if revived.any():
             self.v[revived] = self.values[revived]
             self.w[revived] = 1.0
             self.est[revived] = self.values[revived]
             self.mass_restored += int(revived.sum())
+            self._err = None
         np.copyto(self._prev_alive, alive)
 
     def begin_round(self) -> None:
         np.copyto(self._est_snap, self.est)
 
     def end_round(self) -> None:
-        held = self.w > WEIGHT_FLOOR
-        self.est[held] = self.v[held] / self.w[held]
+        np.divide(self.v, self.w, out=self.est, where=self.w > WEIGHT_FLOOR)
+        self._err = None
 
     def all_push(self) -> bool:
         return True
@@ -354,11 +372,15 @@ class PushSumState(TaskState):
         return 2 * self.value_bits
 
     def _stage(self, srcs: np.ndarray, fraction: float):
-        v_out = self.v[srcs] * fraction
-        w_out = self.w[srcs] * fraction
-        self.v[srcs] -= v_out
-        self.w[srcs] -= w_out
-        return (srcs, v_out, w_out)
+        staged = self._staged
+        staged.fill(False)
+        staged[srcs] = True
+        unstaged = ~staged
+        for mass, out in ((self.v, self._v_out), (self.w, self._w_out)):
+            np.multiply(mass, fraction, out=out)
+            out[unstaged] = 0.0
+            mass -= out
+        return (self._v_out, self._w_out)
 
     def begin_push(self, srcs: np.ndarray):
         return self._stage(srcs, 0.5)
@@ -367,10 +389,9 @@ class PushSumState(TaskState):
         return self._stage(srcs, 1.0)
 
     def finish_push(self, token, srcs: np.ndarray, dsts: np.ndarray) -> None:
-        staged_srcs, v_out, w_out = token
-        pos = np.searchsorted(staged_srcs, srcs)
-        np.add.at(self.v, dsts, v_out[pos])
-        np.add.at(self.w, dsts, w_out[pos])
+        v_out, w_out = token
+        np.add.at(self.v, dsts, v_out[srcs])
+        np.add.at(self.w, dsts, w_out[srcs])
 
     def deliver_pull(self, receivers: np.ndarray, responders: np.ndarray) -> None:
         # Mass cannot move through a pull response without the responder
@@ -386,26 +407,36 @@ class PushSumState(TaskState):
 
     def adopt(self, receivers: np.ndarray, responders: np.ndarray) -> None:
         self.est[receivers] = self._est_snap[responders]
+        self._err = None
 
     def relay_candidates(self, followers: np.ndarray) -> np.ndarray:
         return followers[self.w[followers] > WEIGHT_FLOOR]
 
     def _rel_err(self) -> np.ndarray:
-        err = np.full(self.n, np.inf)
-        held = np.isfinite(self.est)
-        err[held] = np.abs(self.est[held] - self.mu) / self._scale
-        return err
+        """Per-node relative error of ``est`` (inf where a node holds no
+        estimate), shared by every reader until ``est`` next changes."""
+        if self._err is None:
+            err = np.abs(self.est - self.mu)
+            err /= self._scale
+            err[np.isnan(err)] = np.inf
+            self._err = err
+        return self._err
 
     def completion_mask(self) -> np.ndarray:
         return self._rel_err() <= self.tol
 
+    def _max_err(self, alive: np.ndarray) -> float:
+        # Errors are non-negative, so 0 is a neutral start for the max
+        # (and the answer when no node is alive).
+        return float(np.max(self._rel_err(), where=alive, initial=0.0))
+
+    def done(self, alive: np.ndarray) -> bool:
+        return self._max_err(alive) <= self.tol
+
     def error(self, alive: np.ndarray) -> float:
         """Max relative error of the alive estimates (inf if any node
         holds no estimate at all)."""
-        idx = np.flatnonzero(alive)
-        if len(idx) == 0:
-            return 0.0
-        return float(self._rel_err()[idx].max())
+        return self._max_err(alive)
 
     def repaired_target(self, alive: np.ndarray) -> float:
         """The self-consistent mean of the surviving injected mass.
@@ -498,11 +529,10 @@ class ExtremeState(TaskState):
         return True
 
     def begin_push(self, srcs: np.ndarray):
-        return (srcs, self._snap[srcs])
+        return self._snap  # the snapshot is already a per-node token
 
     def finish_push(self, token, srcs: np.ndarray, dsts: np.ndarray) -> None:
-        staged_srcs, staged = token
-        self._merge_at(self.best, dsts, staged[np.searchsorted(staged_srcs, srcs)])
+        self._merge_at(self.best, dsts, token[srcs])
 
     def deliver_pull(self, receivers: np.ndarray, responders: np.ndarray) -> None:
         self.best[receivers] = self._merge(
@@ -514,10 +544,7 @@ class ExtremeState(TaskState):
 
     def error(self, alive: np.ndarray) -> float:
         """Fraction of alive nodes not yet holding the global extreme."""
-        idx = np.flatnonzero(alive)
-        if len(idx) == 0:
-            return 0.0
-        return float(1.0 - self.completion_mask()[idx].mean())
+        return 1.0 - self.progress(alive)
 
     def extras(self) -> Dict[str, object]:
         return {"task_mode": self.mode, "task_target": self.target}

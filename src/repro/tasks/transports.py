@@ -76,7 +76,14 @@ def _staged_push(sim: Simulator, state: TaskState, round_, srcs, dsts, extract=F
 
 def _task_observer(sim: Simulator, state: TaskState):
     """Install the per-round error recorder; returns a ``completion()``
-    getter for the first round at which the task was done."""
+    that uninstalls it and gives the first round at which the task was
+    done.
+
+    Uninstalling drops the simulator's last reference to the state, so
+    its per-node arrays are freed when the transport returns.  Left
+    installed, they would live as long as the simulator, which an event
+    scheduler's back-reference leaves to the cycle collector.
+    """
     holder = {"round": None}
 
     def observe(s: Simulator) -> None:
@@ -84,12 +91,16 @@ def _task_observer(sim: Simulator, state: TaskState):
         if holder["round"] is None and state.done(s.net.alive):
             holder["round"] = s.metrics.rounds
 
+    def completion() -> Optional[int]:
+        sim.commit_hooks.remove(observe)
+        return holder["round"]
+
     sim.add_commit_hook(observe)
     if sim.telemetry is not None:
         sim.telemetry.add_probe(
             "task_error", lambda s: float(state.error(s.net.alive))
         )
-    return lambda: holder["round"]
+    return completion
 
 
 def _finish_report(
@@ -166,11 +177,12 @@ def run_uniform_task(
             if answered is not None:
                 state.deliver_pull(pullers[answered], pdsts[answered])
             state.end_round()
-            trace.emit(
-                sim.metrics.rounds,
-                f"{state.task}.step",
-                progress=round(state.progress(sim.net.alive), 6),
-            )
+            if trace.enabled:
+                trace.emit(
+                    sim.metrics.rounds,
+                    f"{state.task}.step",
+                    progress=round(state.progress(sim.net.alive), 6),
+                )
     return _finish_report(sim, state, trace, completion())
 
 

@@ -65,3 +65,20 @@ class TestRunProtocol:
         trace = Trace()
         run_protocol(CountdownProtocol(2), sim, max_rounds=5, trace=trace)
         assert len(trace.of_kind("countdown.step")) == 2
+
+    def test_disabled_trace_never_evaluates_progress(self):
+        class NoProgress(CountdownProtocol):
+            def progress(self):
+                raise AssertionError("progress() evaluated for a disabled trace")
+
+        sim = build_sim(8)
+        result = run_protocol(NoProgress(3), sim, max_rounds=5)
+        assert result.rounds == 3
+        # A live trace still records it every step.
+        trace = Trace()
+        run_protocol(CountdownProtocol(3), build_sim(8), max_rounds=5, trace=trace)
+        assert [e.data["progress"] for e in trace.of_kind("countdown.step")] == [
+            0.0,
+            0.0,
+            1.0,
+        ]

@@ -493,3 +493,95 @@ class TestNoTransportErrorShape:
         assert rc == 2
         assert "error:" in captured.err
         assert "no registered task transport" in captured.err
+
+
+class TestPushSumBookkeeping:
+    """One relative-error evaluation per change to the estimates: every
+    reader sees the current ``est`` after each kind of change, and the
+    uniform transport skips trace-only work when tracing is off."""
+
+    @staticmethod
+    def _reference_error(state, alive):
+        est = state.est[alive]
+        if not len(est):
+            return 0.0
+        if not np.isfinite(est).all():
+            return float("inf")
+        return float((np.abs(est - state.mu) / state._scale).max())
+
+    def _state(self, n=64, seed=0, **kwargs):
+        from helpers import build_sim
+        from repro.sim.rng import make_rng
+        from repro.tasks.state import PushSumState
+
+        sim = build_sim(n, seed)
+        return sim, PushSumState(sim.net, make_rng(seed), **kwargs)
+
+    def test_error_follows_every_estimate_change(self):
+        sim, state = self._state()
+        alive = sim.net.alive
+        assert state.error(alive) == self._reference_error(state, alive)
+        # end_round: estimates move with the mass.
+        state.begin_round()
+        srcs = np.arange(0, 64, 2)
+        token = state.begin_extract(srcs)
+        state.finish_push(token, srcs, srcs + 1)
+        state.end_round()
+        assert state.error(alive) == self._reference_error(state, alive)
+        assert state.done(alive) == (self._reference_error(state, alive) <= state.tol)
+        # adopt (and so deliver_pull): receivers copy the snapshot.
+        state.begin_round()
+        before = state.error(alive)
+        state.adopt(np.arange(64), np.full(64, 1))
+        assert state.error(alive) == self._reference_error(state, alive) != before
+        assert np.array_equal(
+            state.completion_mask(),
+            np.abs(state.est - state.mu) / state._scale <= state.tol,
+        )
+
+    def test_error_follows_a_restoring_revival(self):
+        sim, state = self._state(restore_mass=True)
+        state.est[:] = state.mu  # everyone converged ...
+        state._err = None
+        assert state.done(sim.net.alive)
+        sim.net.fail([3])
+        state.sync_liveness(sim.net.alive)
+        sim.net.revive([3])
+        state.sync_liveness(sim.net.alive)  # ... until node 3 re-joins
+        assert state.mass_restored == 1
+        alive = sim.net.alive
+        assert state.error(alive) == self._reference_error(state, alive) > 0
+        assert not state.done(alive)
+
+    def test_transport_uninstalls_its_observer(self):
+        from repro.tasks.transports import run_uniform_task
+
+        sim, state = self._state(n=128)
+        report = run_uniform_task(sim, state)
+        assert report.extras["converged"]
+        assert len(sim.metrics.error_series) == report.rounds
+        assert sim.commit_hooks == []
+
+    def test_error_with_no_alive_node(self):
+        sim, state = self._state(n=8)
+        nobody = np.zeros(8, dtype=bool)
+        assert state.error(nobody) == 0.0
+        assert state.done(nobody)
+        assert state.progress(nobody) == 1.0
+
+    def test_disabled_trace_never_evaluates_progress(self, monkeypatch):
+        from repro.sim.trace import Trace
+        from repro.tasks.state import PushSumState
+
+        def boom(self, alive):
+            raise AssertionError("progress() evaluated for a disabled trace")
+
+        monkeypatch.setattr(PushSumState, "progress", boom)
+        report = broadcast(256, "push-pull", task="push-sum", seed=4)
+        assert report.extras["converged"]
+        monkeypatch.undo()
+        trace = Trace()
+        broadcast(256, "push-pull", task="push-sum", seed=4, trace=trace)
+        steps = trace.of_kind("push-sum.step")
+        assert len(steps) == report.rounds
+        assert steps[-1].data["progress"] == 1.0
