@@ -183,9 +183,8 @@ def test_e20_trace_layer():
     # -- attribution: the straggler-tail shape names its stragglers -----
     report = _run(TRACED)
     path = report.extras["critical_path"]
-    slow = SLOWDOWN.bind(
-        E20_N, None, make_rng(derive_seed(7, "delay"))
-    )._slow
+    rng = make_rng(derive_seed(7, "delay"))
+    slow = SLOWDOWN.bind(E20_N, 1, None, [rng], rng)._slow[0]
     slow_set = set(np.nonzero(slow)[0].tolist())
     top_node, top_share = path.top_nodes(1)[0]
     assert top_node in slow_set, (

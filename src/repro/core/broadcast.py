@@ -545,8 +545,8 @@ class EnginePlan:
 def _scheduler_reason(cfg: RunConfig, batch_runner) -> Optional[str]:
     """Why the event tier of ``cfg`` cannot ride the vector engine, or
     None.  It can when the runner folds its contacts into the batched
-    clock overlay (:class:`repro.sim.schedule.BatchClockOverlay`) and the
-    delay model has a batched sampler; tracing stays sequential."""
+    clock overlay (:class:`repro.sim.schedule.BatchClockOverlay`);
+    tracing stays sequential."""
     if cfg.scheduler is None:
         return None
     if not getattr(batch_runner, "supports_overlay", False):
@@ -556,12 +556,6 @@ def _scheduler_reason(cfg: RunConfig, batch_runner) -> Optional[str]:
         )
     if cfg.scheduler.trace:
         return "contact tracing needs the sequential event scheduler"
-    delay_model = cfg.scheduler.resolve_delay(cfg.topology)
-    if not getattr(delay_model, "batchable", False):
-        return (
-            f"delay model {delay_model.name!r} has no batched "
-            "sampler (DelayModel.bind_batch)"
-        )
     return None
 
 
@@ -698,8 +692,8 @@ def replicate_config(
         work array exceeds ``batch_elems`` elements regardless of
         ``reps``.  The event tier rides along through the batched clock
         overlay (:class:`repro.sim.schedule.BatchClockOverlay`) when the
-        runner folds contacts and the delay model has a batched sampler
-        — the summary then carries per-rep ``sim_time`` streams.
+        runner folds contacts — the summary then carries per-rep
+        ``sim_time`` streams.
     ``"auto"``
         ``vector`` when eligible, else ``reset``; :func:`plan` decides,
         and an event-tier fallback is recorded in

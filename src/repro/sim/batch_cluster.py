@@ -283,11 +283,18 @@ class ClusterBatch:
         """Fold one committed round's contacts into the event overlay.
 
         ``rows`` are local act-block rep indices (``g`` maps them to
-        batch rows); ``srcs``/``dsts`` are node columns.  One call per
+        batch rows); ``srcs``/``dsts`` are node columns (``-1`` = void),
+        turned here into the overlay's flat clock keys.  One call per
         charged round, so all of a round's contacts share the pre-round
         clock snapshot — the sequential scheduler's concurrency rule.
         """
-        self.overlay.fold(np.asarray(g)[rows], srcs, dsts, arrived)
+        overlay = self.overlay
+        if overlay.zero or len(rows) == 0:
+            return
+        batch_rows = np.asarray(g)[rows]
+        overlay.fold(
+            overlay.keys(batch_rows, srcs), overlay.keys(batch_rows, dsts), arrived
+        )
 
     def _probe(self) -> None:
         """Offer a batch sample every ``probe_every`` committed rounds."""

@@ -17,6 +17,17 @@ separates the two behind one ``Scheduler`` protocol:
   ``sim_time`` is the latest completion seen so far: the simulated
   wall-clock the round counter cannot express.
 
+Both engines keep their clocks in one place, :class:`BatchClockOverlay`:
+``reps`` clock rows and one sparse fold over flat ``row * n + node``
+clock keys (plus a dense path for full-participation rounds).  The
+vector executors bind one row per replication of a chunk; the
+sequential :class:`EventScheduler` binds a single row, whose keys are
+plain node ids, and keeps only what the sequential engine alone can
+see — the committed round's contacts, the full-participation test of
+the constant-delay fast path, and contact tracing.  Every delay model
+binds once, through :meth:`~repro.sim.topology.DelayModel.bind`, for
+any number of rows.
+
 The event tier is a **timing overlay**: algorithms and tasks drive the
 same bulk op surface, the logical round structure (and therefore every
 random draw, delivery and metric) is untouched, and per-message delay
@@ -34,7 +45,7 @@ the round clock under full participation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, List, Optional
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +53,6 @@ from repro.sim.rng import derive_seed, make_rng
 from repro.sim.topology import (
     DELAY_MODELS,
     BatchBoundDelay,
-    BoundDelay,
     ConstantDelay,
     DelayModel,
 )
@@ -112,6 +122,15 @@ class EventScheduler(Scheduler):
     clock up to it (``max``), so slow endpoints drag their causal
     descendants.  ``sim_time`` is the latest completion seen so far.
 
+    The clocks live in a one-row :class:`BatchClockOverlay` — the
+    sequential tier is the vector tier's overlay with ``reps=1``, whose
+    flat clock keys are plain node ids — so there is one clock fold for
+    both engines.  What stays here is what only the sequential engine
+    can see: which contacts a committed :class:`~repro.sim.engine.Round`
+    declared, whether every alive node initiated (the scalar fast path
+    under a constant delay, checked only without a dynamics timeline),
+    and contact tracing.
+
     Fast paths: a zero-latency delay keeps every clock frozen at 0 (the
     overlay costs nothing — the E19 parity gate's configuration); a
     scalar constant delay with full participation and uniform clocks
@@ -129,37 +148,25 @@ class EventScheduler(Scheduler):
 
     def __init__(
         self,
-        delay: BoundDelay,
-        rng: np.random.Generator,
+        overlay: "BatchClockOverlay",
         *,
-        model: Optional[DelayModel] = None,
         contacts: "Optional[ContactTrace]" = None,
     ) -> None:
-        self._delay = delay
-        self._rng = rng
-        self._model = model
+        self._overlay = overlay
         self.contacts = contacts
-        self._clock: Optional[np.ndarray] = None
-        self._uniform: Optional[float] = 0.0  # all clocks equal this, when set
-        self._sim_time = 0.0
         self._alive_count = -1
         self._alive_epoch: Optional[int] = None
 
     @property
     def sim_time(self) -> float:
-        return self._sim_time
+        return float(self._overlay.sim_time[0])
 
     def describe(self) -> str:
-        if self._model is not None:
-            return f"event({self._model.describe()})"
-        return "event"
+        return self._overlay.describe()
 
     def clocks(self) -> np.ndarray:
         """The per-node simulated clocks (materialised on demand)."""
-        n = self._sim.net.n
-        if self._clock is None:
-            return np.full(n, self._uniform or 0.0)
-        return self._clock
+        return self._overlay.clocks()[0]
 
     # ------------------------------------------------------------------
 
@@ -171,8 +178,9 @@ class EventScheduler(Scheduler):
         return self._alive_count
 
     def on_commit(self, committed: "Round") -> None:
+        overlay = self._overlay
         observing = self.contacts is not None
-        if self._delay.zero and not observing:
+        if overlay.zero and not observing:
             return  # clocks frozen at 0: the zero-latency overlay is free
         ops = [
             op
@@ -182,13 +190,7 @@ class EventScheduler(Scheduler):
         if not ops:
             return  # an idle round takes no simulated time on the event tier
 
-        constant = self._delay.constant
-        if (
-            constant is not None
-            and self._uniform is not None
-            and not observing
-            and self._sim.dynamics is None
-        ):
+        if overlay.scalar and not observing and self._sim.dynamics is None:
             # Uniform fast path: when every alive node initiates exactly
             # once (the model invariant caps initiations at one), every
             # clock advances by the same constant and stays uniform.
@@ -196,27 +198,13 @@ class EventScheduler(Scheduler):
                 len(op.srcs) for op in ops if op.counts_initiation
             )
             if initiations == self._alive_nodes():
-                self._uniform += constant
-                self._sim_time = self._uniform
+                overlay.tick(_ROW)
                 return
-
-        n = self._sim.net.n
-        if self._clock is None:
-            self._clock = np.zeros(n, dtype=np.float64)
-        if self._uniform is not None:
-            if self._uniform:
-                self._clock.fill(self._uniform)
-            self._uniform = None
 
         srcs = np.concatenate([np.asarray(op.srcs, dtype=np.int64) for op in ops])
         dsts = np.concatenate([np.asarray(op.dsts, dtype=np.int64) for op in ops])
         arrived = np.concatenate([op.arrived for op in ops])
-        starts = self._clock[srcs]
-        complete = starts + self._delay.delays(srcs, dsts, self._rng)
-        np.maximum.at(self._clock, srcs, complete)
-        if arrived.any():
-            np.maximum.at(self._clock, dsts[arrived], complete[arrived])
-        self._sim_time = max(self._sim_time, float(complete.max()))
+        starts, complete = overlay.fold(srcs, dsts, arrived)
 
         if observing:
             kinds = np.concatenate(
@@ -236,29 +224,34 @@ class EventScheduler(Scheduler):
             )
 
 
-class BatchClockOverlay:
-    """The event tier for the batched ``(R, n)`` vector executors.
+#: The sequential tier's one overlay row.
+_ROW = np.zeros(1, dtype=np.int64)
 
-    One instance carries ``reps`` independent per-node clock rows — the
-    batched counterpart of :class:`EventScheduler`, with the same
-    semantics applied per row: a contact ``u -> w`` in rep ``r`` starts
-    at ``clock[r, u]``, completes ``delay(r, u, w)`` later, advances the
-    initiator's clock, folds a *delivered* contact into the receiver's
-    clock, and ``sim_time[r]`` is the latest completion rep ``r`` has
-    seen.  Each bulk fold is a handful of ``np.maximum.at`` calls over
-    all reps at once, so the timing overlay runs at scale-tier speed.
+
+class BatchClockOverlay:
+    """The clock store of the event tier, for ``reps`` stacked networks.
+
+    One instance carries ``reps`` independent per-node clock rows: a
+    contact ``u -> w`` in rep ``r`` starts at ``clock[r, u]``, completes
+    ``delay(r, u, w)`` later, advances the initiator's clock, folds a
+    *delivered* contact into the receiver's clock, and ``sim_time[r]``
+    is the latest completion rep ``r`` has seen.  The vector executors
+    bind one row per replication of a chunk; the sequential
+    :class:`EventScheduler` binds a single row.  Each bulk fold is a
+    handful of ``np.maximum.at`` calls over all reps at once, so the
+    timing overlay runs at scale-tier speed.
 
     The overlay draws only from its own delay streams (bind-time fabric
-    from per-rep ``"delay"`` streams, per-message jitter from a shared
-    batch stream), never from the runner's algorithm coins — so a vector
-    run's rounds/messages/bits are bit-identical with the overlay on or
-    off, and ``sim_time`` is statistically identical to a sequential
-    :class:`EventScheduler` run at the same per-rep seed (exactly
-    identical for zero latency, where every clock stays 0).
+    from per-rep ``"delay"`` streams, per-message jitter from ``rng``),
+    never from the runner's algorithm coins — so a run's
+    rounds/messages/bits are bit-identical with the overlay on or off.
+    A vector chunk shares one jitter stream across its rows, so its
+    ``sim_time`` is statistically identical to a sequential run at the
+    same per-rep seed (exactly identical for the deterministic models).
 
-    Fast paths mirror the sequential tier: zero latency is free, and
-    full-participation rounds under a scalar constant delay advance one
-    scalar per rep while the rows stay uniform.
+    Fast paths: zero latency is free, and full-participation rounds
+    under a scalar constant delay advance one scalar per rep while the
+    rows stay uniform.
     """
 
     name = "event"
@@ -288,6 +281,12 @@ class BatchClockOverlay:
         return self._delay.zero
 
     @property
+    def scalar(self) -> bool:
+        """True while a full-participation round is one :meth:`tick`:
+        the delay is a constant and every row is still uniform."""
+        return self._delay.constant is not None and self._uniform is not None
+
+    @property
     def sim_time(self) -> np.ndarray:
         """Per-rep simulated wall-clock, ``(reps,)`` float64.
 
@@ -299,6 +298,12 @@ class BatchClockOverlay:
         if self._uniform is not None:
             return self._uniform.copy()
         return self._clock.max(axis=1)
+
+    def clocks(self) -> np.ndarray:
+        """The ``(reps, n)`` per-node clocks (materialised on demand)."""
+        if self._uniform is not None:
+            return np.repeat(self._uniform[:, None], self.n, axis=1)
+        return self._clock
 
     def describe(self) -> str:
         if self._model is not None:
@@ -313,6 +318,18 @@ class BatchClockOverlay:
             if lifted.any():
                 self._clock[lifted] = self._uniform[lifted, None]
             self._uniform = None
+
+    def keys(self, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Flat clock keys ``rows * n + nodes`` for :meth:`fold`; a void
+        (negative) node keeps the ``-1`` key."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        offsets = np.asarray(rows, dtype=np.int64) * self.n
+        return np.where(nodes >= 0, offsets + nodes, -1)
+
+    def tick(self, act: np.ndarray) -> None:
+        """Advance the uniform rows ``act`` by the constant delay — one
+        full-participation round while :attr:`scalar` holds."""
+        self._uniform[act] += self._delay.constant
 
     def full_round(
         self,
@@ -335,21 +352,19 @@ class BatchClockOverlay:
         act = np.asarray(act, dtype=np.int64)
         if len(act) == 0:
             return
-        constant = self._delay.constant
-        if constant is not None and self._uniform is not None:
+        if self.scalar:
             # Every node initiates, so under a constant delay every
             # clock in the row advances by the same amount whether or
             # not its contact delivered — the rows stay uniform.
-            self._uniform[act] += constant
+            self.tick(act)
             return
         # General path, kept two-dimensional: every (row, node) initiates
         # exactly once, so the initiator fold is an elementwise row
         # maximum and only the receiver fold needs a scatter-max — run
         # per row so the scatter stays cache-resident and never builds
-        # (A*n,) key arrays (the sparse :meth:`fold` is for the cluster
-        # tier's irregular contact sets, not this hot path).
+        # (A*n,) key arrays (the sparse :meth:`fold` is for irregular
+        # contact sets, not this hot path).
         self._materialise()
-        act = np.asarray(act, dtype=np.int64)
         # One up-front intp conversion: every scatter/take below would
         # otherwise cast a lean executor index dtype per use.
         targets = np.asarray(targets, dtype=np.int64).reshape(len(act), self.n)
@@ -386,38 +401,34 @@ class BatchClockOverlay:
 
     def fold(
         self,
-        rows: np.ndarray,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
+        src_keys: np.ndarray,
+        dst_keys: np.ndarray,
         arrived: Optional[np.ndarray] = None,
-    ) -> None:
+    ) -> "Tuple[np.ndarray, np.ndarray]":
         """Fold one committed round's contacts into the clock matrix.
 
-        ``rows[i]`` is the rep row of contact ``i``; all contacts of one
-        call share the pre-round clock snapshot (a node's contacts
-        within a round are concurrent), so callers must issue exactly
-        one ``fold`` per logical round per contact group.  ``arrived``
-        masks deliveries; ``-1``/out-of-range destinations never fold
-        the receiver but still advance the initiator and ``sim_time``.
+        Contact ``i`` runs from flat clock key ``src_keys[i]`` to
+        ``dst_keys[i]``, where the key of node ``u`` in rep row ``r`` is
+        ``r * n + u`` (plain node ids when ``reps == 1``) and a ``-1``
+        destination marks a void contact.  All contacts of one call
+        share the pre-round clock snapshot (a node's contacts within a
+        round are concurrent), so callers must issue exactly one
+        ``fold`` per logical round per contact group.  ``arrived`` masks
+        deliveries; a void or undelivered contact never folds the
+        receiver but still advances the initiator and ``sim_time``.
+        Returns the contacts' ``(starts, complete)`` times.
         """
-        if self._delay.zero or len(rows) == 0:
-            return
         self._materialise()
-        rows = np.asarray(rows, dtype=np.int64)
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
         flat = self._clock.ravel()
-        src_keys = rows * self.n + srcs
         starts = flat[src_keys]
-        complete = starts + self._delay.sample_batch(rows, srcs, dsts, self._rng)
+        complete = starts + self._delay.delays(src_keys, dst_keys, self._rng)
         np.maximum.at(flat, src_keys, complete)
-        deliver = (dsts >= 0) & (dsts < self.n)
+        deliver = dst_keys >= 0
         if arrived is not None:
             deliver &= np.asarray(arrived, dtype=bool)
         if deliver.any():
-            np.maximum.at(
-                flat, rows[deliver] * self.n + dsts[deliver], complete[deliver]
-            )
+            np.maximum.at(flat, dst_keys[deliver], complete[deliver])
+        return starts, complete
 
 
 def make_batch_overlay(
@@ -439,22 +450,15 @@ def make_batch_overlay(
     row's straggler set / edge weights are bit-identical to the
     sequential run.  Per-message jitter shares one batch stream
     (statistically equivalent, like the vector executors' shared
-    algorithm coins).  Raises ``ValueError`` for delay models without a
-    batched sampler — the caller surfaces that as a config error.
+    algorithm coins).
     """
     model = spec.resolve_delay(topology)
-    if not getattr(model, "batchable", False):
-        raise ValueError(
-            f"delay model '{model.name}' has no batched sampler "
-            f"(DelayModel.bind_batch); run it on the sequential tier "
-            f"with engine='reset'"
-        )
     rep_rngs = [
         make_rng(derive_seed(base_seed + first_rep + i, "delay"))
         for i in range(reps)
     ]
     shared = make_rng(derive_seed(base_seed, "vector-delay", str(first_rep)))
-    bound = model.bind_batch(n, reps, graph, rep_rngs, shared)
+    bound = model.bind(n, reps, graph, rep_rngs, shared)
     # The complete graph (graph is None) never draws a -1 "nobody to
     # call" sentinel, so the overlay and samplers can skip validity
     # scans on the hot path.
@@ -491,19 +495,21 @@ class EventSchedulerSpec:
         """Materialise the scheduler for one bound network.
 
         ``rng`` is the run's dedicated ``"delay"`` stream: the straggler
-        set / per-edge weights are drawn from it here, and the bound
-        scheduler keeps it for per-message jitter — algorithm coins are
-        never touched, which is what keeps event runs bit-identical to
-        the round engine.
+        set / per-edge weights are drawn from it here into a one-row
+        :class:`BatchClockOverlay`, which keeps it for per-message
+        jitter — algorithm coins are never touched, which is what keeps
+        event runs bit-identical to the round engine.
         """
         model = self.resolve_delay(net.topology)
-        bound = model.bind(net.n, net.graph, rng)
+        bound = model.bind(net.n, 1, net.graph, [rng], rng)
         contacts = None
         if self.trace:
             from repro.obs.trace import ContactTrace
 
             contacts = ContactTrace(net.n)
-        return EventScheduler(bound, rng, model=model, contacts=contacts)
+        return EventScheduler(
+            BatchClockOverlay(bound, rng, 1, net.n, model=model), contacts=contacts
+        )
 
     def describe(self) -> str:
         inner = self.delay.describe() if self.delay is not None else "topology"

@@ -343,29 +343,18 @@ class DelayModel:
 
     A delay model is pure configuration (picklable, hashable — safe on
     a frozen :class:`Topology` or inside a ``RunSpec``); :meth:`bind`
-    turns it into a :class:`BoundDelay` oracle for one network, drawing
-    any persistent randomness (straggler sets, per-edge weights) from
-    the run's dedicated ``"delay"`` seed stream.  ``requires_graph``
-    marks the per-edge models that need a materialised CSR — the
-    complete graph keeps the scalar models, so no CSR is ever forced.
+    turns it into a :class:`BatchBoundDelay` oracle for ``reps``
+    stacked copies of one network, drawing any persistent randomness
+    (straggler sets, per-edge weights) from each copy's dedicated
+    ``"delay"`` seed stream.  ``requires_graph`` marks the per-edge
+    models that need a materialised CSR — the complete graph keeps the
+    scalar models, so no CSR is ever forced.
     """
 
     name: ClassVar[str] = "delay"
     requires_graph: ClassVar[bool] = False
-    #: True when the model implements :meth:`bind_batch` — the batched
-    #: ``(R, n)`` clock overlay only accepts batchable models, and
-    #: third-party models predating the hook default to the sequential
-    #: tier (a clean config error under ``engine="vector"``, a logged
-    #: fallback under ``engine="auto"``).
-    batchable: ClassVar[bool] = False
 
     def bind(
-        self, n: int, graph: "Optional[ContactGraph]", rng: np.random.Generator
-    ) -> "BoundDelay":
-        """Materialise the per-contact oracle for an ``n``-node network."""
-        raise NotImplementedError
-
-    def bind_batch(
         self,
         n: int,
         reps: int,
@@ -373,19 +362,19 @@ class DelayModel:
         rep_rngs: "list[np.random.Generator]",
         rng: np.random.Generator,
     ) -> "BatchBoundDelay":
-        """Materialise the batched oracle for ``reps`` stacked networks.
+        """Materialise the oracle for ``reps`` stacked ``n``-node networks.
 
         ``rep_rngs[i]`` is replication ``i``'s dedicated ``"delay"``
         stream — bind-time randomness (straggler sets, edge weights)
-        must come from it so each row's delay fabric is bit-identical
-        to the sequential :meth:`bind` at the same seed.  ``rng`` is the
-        shared per-message stream for draws that are only required to be
-        identically distributed (jitter), mirroring how the vector
-        executors share one algorithm-coins stream per chunk.
+        must come from it, so row ``i``'s delay fabric depends only on
+        that replication's seed.  ``rng`` is the per-message stream for
+        draws that are only required to be identically distributed
+        (jitter).  The sequential tier binds one row and passes its
+        run's ``"delay"`` stream as both; the vector tier shares one
+        per-message stream per chunk, mirroring how its executors share
+        one algorithm-coins stream.
         """
-        raise NotImplementedError(
-            f"delay model '{self.name}' has no batched sampler"
-        )
+        raise NotImplementedError
 
     def describe(self) -> str:
         """Short human-readable form for reports and catalogues."""
@@ -408,13 +397,17 @@ class DelayModel:
 
 
 class BoundDelay:
-    """A bound delay oracle: per-contact latencies for one network.
+    """A bound delay oracle: per-contact latencies on flat clock keys.
 
-    ``constant`` is non-``None`` when every contact takes exactly that
-    many time units — the event tier's scalar fast path.  Otherwise
-    :meth:`delays` returns a float64 array parallel to the contact
-    arrays; per-message jitter draws come from the caller-supplied
-    ``"delay"`` stream so algorithm coins stay untouched.
+    One oracle times ``reps`` stacked ``n``-node networks (one row on
+    the sequential tier).  A contact is named by its flat clock keys
+    ``row * n + node`` — plain node ids when there is one row — and a
+    ``-1`` destination key marks a void contact (nobody to call), which
+    is timed off the per-node fabric.  ``constant`` is non-``None`` when
+    every contact takes exactly that many time units — the event tier's
+    scalar fast path.  Otherwise :meth:`delays` returns a float64 array
+    parallel to the key arrays; per-message jitter draws come from the
+    caller-supplied stream so algorithm coins stay untouched.
     """
 
     def __init__(self, constant: Optional[float] = None) -> None:
@@ -426,24 +419,21 @@ class BoundDelay:
         return self.constant == 0.0
 
     def delays(
-        self, srcs: np.ndarray, dsts: np.ndarray, rng: np.random.Generator
+        self, src_keys: np.ndarray, dst_keys: np.ndarray, rng: np.random.Generator
     ) -> "np.ndarray | float":
         if self.constant is not None:
             return self.constant
         raise NotImplementedError
 
 
-class BatchBoundDelay:
-    """A batch-bound delay oracle: per-contact latencies for ``reps``
-    stacked networks at once.
+class BatchBoundDelay(BoundDelay):
+    """A bound oracle with dense full-participation samplers.
 
-    The ``(R, n)`` counterpart of :class:`BoundDelay`, consumed by the
-    vector engine's :class:`~repro.sim.schedule.BatchClockOverlay`.
-    ``constant`` keeps the scalar fast-path contract; otherwise
-    :meth:`sample_batch` returns a float64 array parallel to the
-    contact arrays, where ``rows[i]`` names the replication row contact
-    ``i`` belongs to (so per-rep fabric — straggler sets, edge weights
-    — indexes its own row).
+    Adds the ``(A, n)``-shaped :meth:`sample_full` / :meth:`complete_full`
+    that :meth:`repro.sim.schedule.BatchClockOverlay.full_round` uses
+    when every node of each active row initiates exactly once, on top of
+    the sparse per-contact :meth:`BoundDelay.delays`.  Every
+    :meth:`DelayModel.bind` returns one.
     """
 
     #: Set by :func:`repro.sim.schedule.make_batch_overlay` when the
@@ -451,45 +441,26 @@ class BatchBoundDelay:
     #: (the complete graph) — samplers then skip validity scans.
     no_void = False
 
-    def __init__(self, constant: Optional[float] = None) -> None:
-        self.constant = None if constant is None else float(constant)
-
-    @property
-    def zero(self) -> bool:
-        """True when every contact is instantaneous (zero latency)."""
-        return self.constant == 0.0
-
-    def sample_batch(
-        self,
-        rows: np.ndarray,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-        rng: np.random.Generator,
-    ) -> "np.ndarray | float":
-        if self.constant is not None:
-            return self.constant
-        raise NotImplementedError
-
     def sample_full(
         self, rows: np.ndarray, targets: np.ndarray, rng: np.random.Generator
     ) -> "np.ndarray | float":
         """Delays for a full-participation round, ``(A, n)``-shaped.
 
         Node ``j`` of rep row ``rows[i]`` dials ``targets[i, j]``
-        (``-1`` = nobody).  Same distribution as :meth:`sample_batch`,
-        but shaped for the overlay's two-dimensional hot path; the base
-        implementation expands to the sparse form, subclasses override
-        with row-gather formulations.
+        (``-1`` = nobody).  Same distribution as :meth:`delays`, but
+        shaped for the overlay's two-dimensional hot path; the base
+        implementation expands to flat keys, subclasses override with
+        row-gather formulations.
         """
         if self.constant is not None:
             return self.constant
         rows = np.asarray(rows, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         a, n = targets.shape
-        out = self.sample_batch(
-            np.repeat(rows, n),
-            np.tile(np.arange(n, dtype=np.int64), a),
-            targets.ravel(),
+        offsets = (rows * n)[:, None]
+        out = self.delays(
+            (offsets + np.arange(n, dtype=np.int64)).ravel(),
+            np.where(targets >= 0, targets + offsets, -1).ravel(),
             rng,
         )
         return np.asarray(out, dtype=np.float64).reshape(a, n)
@@ -517,10 +488,10 @@ class _BatchJitterBound(BatchBoundDelay):
         super().__init__(constant=low if low == high else None)
         self.low, self.high = low, high
 
-    def sample_batch(self, rows, srcs, dsts, rng):
+    def delays(self, src_keys, dst_keys, rng):
         if self.constant is not None:
             return self.constant
-        return rng.uniform(self.low, self.high, size=len(np.asarray(srcs)))
+        return rng.uniform(self.low, self.high, size=len(src_keys))
 
     def sample_full(self, rows, targets, rng):
         if self.constant is not None:
@@ -538,19 +509,19 @@ class _BatchJitterBound(BatchBoundDelay):
 class _BatchSlowdownBound(BatchBoundDelay):
     def __init__(self, slow: np.ndarray, base: float, factor: float) -> None:
         super().__init__()
-        self._slow = slow  # (reps, n) bool
+        reps, n = slow.shape
+        # The raveled slow sets plus one trailing False: a -1 (void)
+        # destination key reads the sentinel, so no validity mask.
+        self._flat = np.zeros(reps * n + 1, dtype=bool)
+        self._slow = self._flat[:-1].reshape(reps, n)  # (reps, n) view
+        self._slow[...] = slow
         self._base = base
         self._slowed = base * factor
 
-    def sample_batch(self, rows, srcs, dsts, rng):
-        rows = np.asarray(rows, dtype=np.int64)
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        n = self._slow.shape[1]
-        valid = (dsts >= 0) & (dsts < n)
-        hit = self._slow[rows, srcs] | (
-            valid & self._slow[rows, np.where(valid, dsts, 0)]
-        )
+    def delays(self, src_keys, dst_keys, rng):
+        flat = self._flat
+        hit = flat.take(src_keys)
+        hit |= flat.take(dst_keys)
         return np.where(hit, self._slowed, self._base)
 
     def _hit_full(self, rows, targets):
@@ -574,7 +545,7 @@ class _BatchSlowdownBound(BatchBoundDelay):
             else np.int64
         )
         offsets = (rows * n).astype(kd, copy=False)[:, None]
-        flat = self._slow.ravel()
+        flat = self._flat
         if self.no_void or targets.min() >= 0:
             t_slow = flat.take(targets + offsets)
             return np.logical_or(t_slow, slow_rows, out=t_slow)
@@ -598,9 +569,10 @@ class _BatchEdgeBound(BatchBoundDelay):
 
     ``weights`` is ``(reps, m)`` over the undirected edge ids; the
     shared ``inverse`` map (directed CSR entry -> undirected id) and the
-    graph's sorted edge keys resolve each contact to its edge, exactly
-    like the sequential :class:`_EdgeBound` but one row per rep.
-    Off-graph contacts fall back to ``default``.
+    graph's sorted edge keys resolve each contact to its edge, one
+    weight row per rep.  Off-graph contacts (the ``-1`` void key, or a
+    global-addressed direct call to a non-neighbor) fall back to
+    ``default`` — they are routed outside the weighted fabric.
     """
 
     def __init__(
@@ -616,13 +588,14 @@ class _BatchEdgeBound(BatchBoundDelay):
         self._inverse = inverse  # directed CSR entry -> undirected id
         self._default = float(default)
 
-    def sample_batch(self, rows, srcs, dsts, rng):
+    def delays(self, src_keys, dst_keys, rng):
         g = self._graph
-        rows = np.asarray(rows, dtype=np.int64)
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        valid = (dsts >= 0) & (dsts < g.n)
-        keys = srcs * g.n + np.where(valid, dsts, 0)
+        src_keys = np.asarray(src_keys, dtype=np.int64)
+        dst_keys = np.asarray(dst_keys, dtype=np.int64)
+        rows = src_keys // g.n
+        offsets = rows * g.n
+        valid = dst_keys >= 0
+        keys = (src_keys - offsets) * g.n + np.where(valid, dst_keys - offsets, 0)
         edge_keys = g._edge_keys
         out = np.full(len(keys), self._default, dtype=np.float64)
         if len(edge_keys):
@@ -643,32 +616,17 @@ class ConstantDelay(DelayModel):
     """
 
     name: ClassVar[str] = "constant"
-    batchable: ClassVar[bool] = True
     delay: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.delay >= 0.0:
             raise ValueError(f"constant delay must be >= 0, got {self.delay}")
 
-    def bind(self, n, graph, rng) -> BoundDelay:
-        return BoundDelay(constant=self.delay)
-
-    def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
+    def bind(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         return BatchBoundDelay(constant=self.delay)
 
     def describe(self) -> str:
         return f"constant({self.delay:g})"
-
-
-class _JitterBound(BoundDelay):
-    def __init__(self, low: float, high: float) -> None:
-        super().__init__(constant=low if low == high else None)
-        self.low, self.high = low, high
-
-    def delays(self, srcs, dsts, rng):
-        if self.constant is not None:
-            return self.constant
-        return rng.uniform(self.low, self.high, size=len(np.asarray(srcs)))
 
 
 @dataclass(frozen=True)
@@ -680,7 +638,6 @@ class UniformJitterDelay(DelayModel):
     """
 
     name: ClassVar[str] = "jitter"
-    batchable: ClassVar[bool] = True
     low: float = 0.5
     high: float = 1.5
 
@@ -691,29 +648,11 @@ class UniformJitterDelay(DelayModel):
                 f"low={self.low}, high={self.high}"
             )
 
-    def bind(self, n, graph, rng) -> BoundDelay:
-        return _JitterBound(self.low, self.high)
-
-    def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
+    def bind(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         return _BatchJitterBound(self.low, self.high)
 
     def describe(self) -> str:
         return f"jitter({self.low:g},{self.high:g})"
-
-
-class _NodeSlowdownBound(BoundDelay):
-    def __init__(self, slow: np.ndarray, base: float, factor: float) -> None:
-        super().__init__()
-        self._slow = slow
-        self._base = base
-        self._slowed = base * factor
-
-    def delays(self, srcs, dsts, rng):
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        valid = (dsts >= 0) & (dsts < len(self._slow))
-        hit = self._slow[srcs] | (valid & self._slow[np.where(valid, dsts, 0)])
-        return np.where(hit, self._slowed, self._base)
 
 
 @dataclass(frozen=True)
@@ -728,7 +667,6 @@ class NodeSlowdownDelay(DelayModel):
     """
 
     name: ClassVar[str] = "straggler"
-    batchable: ClassVar[bool] = True
     base: float = 1.0
     fraction: float = 0.02
     factor: float = 10.0
@@ -743,17 +681,9 @@ class NodeSlowdownDelay(DelayModel):
         if not self.factor >= 1.0:
             raise ValueError(f"straggler factor must be >= 1, got {self.factor}")
 
-    def bind(self, n, graph, rng) -> BoundDelay:
-        slow = rng.random(n) < self.fraction
-        if not slow.any():
-            slow[int(rng.integers(0, n))] = True
-        return _NodeSlowdownBound(slow, self.base, self.factor)
-
-    def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
+    def bind(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         slow = np.zeros((reps, n), dtype=bool)
         for i, rep_rng in enumerate(rep_rngs):
-            # Replay the sequential bind draw order so row i's slow set
-            # is bit-identical to a sequential run at that rep's seed.
             row = rep_rng.random(n) < self.fraction
             if not row.any():
                 row[int(rep_rng.integers(0, n))] = True
@@ -767,34 +697,6 @@ class NodeSlowdownDelay(DelayModel):
             else f"straggler(base={self.base:g},fraction={self.fraction:g},"
             f"factor={self.factor:g})"
         )
-
-
-class _EdgeBound(BoundDelay):
-    """Per-directed-CSR-entry weights, symmetric across each undirected
-    edge.  Off-graph contacts (the ``-1`` void sentinel, or a
-    global-addressed direct call to a non-neighbor) fall back to
-    ``default`` — they are routed outside the weighted fabric.
-    """
-
-    def __init__(self, graph: ContactGraph, weights: np.ndarray, default: float) -> None:
-        super().__init__()
-        self._graph = graph
-        self._weights = weights  # parallel to graph.indices (CSR order)
-        self._default = float(default)
-
-    def delays(self, srcs, dsts, rng):
-        g = self._graph
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        valid = (dsts >= 0) & (dsts < g.n)
-        keys = srcs * g.n + np.where(valid, dsts, 0)
-        edge_keys = g._edge_keys
-        out = np.full(len(keys), self._default, dtype=np.float64)
-        if len(edge_keys):
-            pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-            hit = valid & (edge_keys[pos] == keys)
-            out[hit] = self._weights[pos[hit]]
-        return out
 
 
 def _undirected_edge_index(graph: ContactGraph) -> Tuple[int, np.ndarray]:
@@ -816,7 +718,6 @@ class EdgeWeightedDelay(DelayModel):
 
     name: ClassVar[str] = "wan"
     requires_graph: ClassVar[bool] = True
-    batchable: ClassVar[bool] = True
     scale: float = 1.0
     sigma: float = 1.0
 
@@ -826,13 +727,7 @@ class EdgeWeightedDelay(DelayModel):
         if not self.sigma >= 0.0:
             raise ValueError(f"wan sigma must be >= 0, got {self.sigma}")
 
-    def bind(self, n, graph, rng) -> BoundDelay:
-        graph = self._require_graph(graph)
-        m, inverse = _undirected_edge_index(graph)
-        weights = self.scale * rng.lognormal(0.0, self.sigma, size=m)
-        return _EdgeBound(graph, weights[inverse], default=self.scale)
-
-    def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
+    def bind(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         graph = self._require_graph(graph)
         m, inverse = _undirected_edge_index(graph)
         weights = np.empty((reps, m), dtype=np.float64)
@@ -853,7 +748,6 @@ class RateLimitedEdgeDelay(DelayModel):
 
     name: ClassVar[str] = "rate-limited"
     requires_graph: ClassVar[bool] = True
-    batchable: ClassVar[bool] = True
     base: float = 1.0
     fraction: float = 0.05
     factor: float = 20.0
@@ -870,14 +764,7 @@ class RateLimitedEdgeDelay(DelayModel):
                 f"rate-limited factor must be >= 1, got {self.factor}"
             )
 
-    def bind(self, n, graph, rng) -> BoundDelay:
-        graph = self._require_graph(graph)
-        m, inverse = _undirected_edge_index(graph)
-        limited = rng.random(m) < self.fraction
-        weights = np.where(limited, self.base * self.factor, self.base)
-        return _EdgeBound(graph, weights[inverse], default=self.base)
-
-    def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
+    def bind(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         graph = self._require_graph(graph)
         m, inverse = _undirected_edge_index(graph)
         weights = np.empty((reps, m), dtype=np.float64)

@@ -89,9 +89,10 @@ class TestContactTrace:
         report = _traced(n=n, seed=seed, delay="straggler:fraction=0.05,factor=10")
         path = report.extras["critical_path"]
         # Ground truth: rebind the delay model on the run's own stream.
+        rng = make_rng(derive_seed(seed, "delay"))
         slow = NodeSlowdownDelay(base=1.0, fraction=0.05, factor=10.0).bind(
-            n, None, make_rng(derive_seed(seed, "delay"))
-        )._slow
+            n, 1, None, [rng], rng
+        )._slow[0]
         slow_set = set(np.nonzero(slow)[0].tolist())
         assert path.top_nodes(1)[0][0] in slow_set
         slow_share = sum(s for v, s in path.node_share.items() if v in slow_set)

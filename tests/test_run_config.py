@@ -12,8 +12,6 @@ from __future__ import annotations
 import importlib
 import pickle
 import re
-from dataclasses import dataclass
-from typing import ClassVar
 
 import pytest
 from hypothesis import given, settings
@@ -37,15 +35,7 @@ from repro.registry import (
 )
 from repro.sim.dynamics import AdversitySchedule, schedule_names
 from repro.sim.schedule import EventSchedulerSpec, parse_delay
-from repro.sim.topology import ADDRESSING_MODES, ConstantDelay, Ring
-
-
-@dataclass(frozen=True)
-class OpaqueDelay(ConstantDelay):
-    """A delay model without a batched sampler."""
-
-    name: ClassVar[str] = "opaque"
-    batchable: ClassVar[bool] = False
+from repro.sim.topology import ADDRESSING_MODES, Ring
 
 
 def _no_overlay_runner(n, reps, rng, **knobs):  # pragma: no cover - never run
@@ -136,7 +126,6 @@ _NO_OVERLAY_REASON = (
     "contacts into the batched clock overlay"
 )
 _TRACE_REASON = "contact tracing needs the sequential event scheduler"
-_OPAQUE_REASON = "delay model 'opaque' has no batched sampler (DelayModel.bind_batch)"
 
 
 def _generic_error(algorithm: str, task: str = "broadcast") -> str:
@@ -183,12 +172,6 @@ PLAN_TABLE = [
         dict(algorithm="push-pull", trace=True),
         ("reset", _TRACE_REASON),
         _scheduler_error(_TRACE_REASON),
-    ),
-    (
-        "fallback-unbatchable-delay",
-        dict(algorithm="push-pull", scheduler=EventSchedulerSpec(delay=OpaqueDelay(1.0))),
-        ("reset", _OPAQUE_REASON),
-        _scheduler_error(_OPAQUE_REASON),
     ),
     ("one-node", dict(n=1, algorithm="push-pull"), ("reset", None), _generic_error("push-pull")),
     (

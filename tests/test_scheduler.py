@@ -199,7 +199,7 @@ class TestThreading:
             assert sim_time.mean == pytest.approx(single.extras["sim_time"])
 
     def test_vector_engine_rejects_traced_event_tier(self):
-        # The batchable event tier rides the vector engine now; tracing
+        # The event tier rides the vector engine now; tracing
         # is what still pins a run to the sequential scheduler.
         with pytest.raises(ValueError, match="sequential"):
             run_replications(
